@@ -1,14 +1,15 @@
-// Serving throughput benchmark: drives the online prediction server over
-// in-process streams and reports sustained requests/s plus client-observed
-// latency percentiles for cold vs warm cache at 1 and 8 client threads,
-// plus a two-model routed fleet scenario with per-model warm req/s, plus
-// the event-loop front end under 1/8/256/4096 concurrent connections for
-// each wire protocol (newline esm1 and binary esm2, both pipelined eight
-// requests deep per connection so the offered load matches and only the
-// wire format differs), plus an overload scenario (256 connections
-// offering ~4x the admitted capacity against a bounded admission queue)
-// reporting shed rate and retry-converged goodput. Writes
-// BENCH_serve.json next to the binary.
+// Serving throughput benchmark: drives the online prediction server through
+// its event-loop front end over in-process loopback connections and reports
+// sustained requests/s plus client-observed latency percentiles for
+// synchronous clients (one request in flight each) with a cold vs warm
+// cache at 1 and 8 clients, plus a two-model routed fleet scenario with
+// per-model warm req/s, plus pipelined clients under 1/8/256/4096
+// concurrent connections for each wire protocol (newline esm1 and binary
+// esm2, both pipelined eight requests deep per connection so the offered
+// load matches and only the wire format differs), plus an overload
+// scenario (256 connections offering ~4x the admitted capacity against a
+// bounded admission queue) reporting shed rate and retry-converged
+// goodput. Writes BENCH_serve.json next to the binary.
 //
 //   ./serve_throughput [--requests N] [--pool N] [--out PATH]
 //
@@ -19,11 +20,9 @@
 // isolates the cache's contribution. The fleet scenario serves a two-model
 // manifest and alternates routed requests between the models, measuring
 // what routing and per-model caches cost relative to single-model warm.
-// Event-loop scenarios run warm and self-check: any dropped connection,
-// request error, or stats identity violation aborts the benchmark with a
-// nonzero exit.
+// Every scenario self-checks: any dropped connection, request error, or
+// stats identity violation aborts the benchmark with a nonzero exit.
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -163,174 +162,42 @@ double percentile(std::vector<double>& sorted_us, double p) {
   return sorted_us[index];
 }
 
-ScenarioResult run_scenario(const std::string& artifact,
-                            const std::vector<std::string>& pool, int clients,
-                            bool warm, std::size_t requests_per_client) {
-  esm::serve::ServeConfig config;
-  config.artifact_path = artifact;
-  config.cache_capacity = warm ? 4096 : 0;
-  esm::serve::PredictionServer server(config);
+/// One load shape for run_event_loop_scenario.
+struct Scenario {
+  std::string name;
+  std::string source;  ///< artifact or fleet manifest to serve
+  int conns = 1;
+  std::size_t requests_per_conn = 0;
+  esm::serve::Protocol proto = esm::serve::Protocol::esm1;
+  /// Requests kept in flight per connection; 1 is a synchronous client
+  /// that waits for each answer before sending the next request.
+  std::size_t window = 8;
+  /// Warm: cache on and primed with the whole pool, so the measured phase
+  /// is all hits. Cold: cache off, so every request goes through the
+  /// batcher and predict_all.
+  bool warm = true;
+  /// Fleet models each connection alternates between request by request;
+  /// empty sends keyless requests to the default model.
+  std::vector<std::string> models;
+};
 
-  std::vector<esm::serve::ServeClient> sessions;
-  sessions.reserve(static_cast<std::size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
-    esm::serve::StreamPair pair = esm::serve::make_stream_pair();
-    server.serve(pair.server);
-    sessions.emplace_back(pair.client);
-  }
-  if (warm) {
-    // Prime every pool entry so the measured phase is all cache hits.
-    for (const std::string& arch : pool) sessions[0].predict(arch);
-  }
-
-  std::vector<std::vector<double>> latencies_us(
-      static_cast<std::size_t>(clients));
-  const Clock::time_point begin = Clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      std::vector<double>& mine = latencies_us[static_cast<std::size_t>(c)];
-      mine.reserve(requests_per_client);
-      for (std::size_t i = 0; i < requests_per_client; ++i) {
-        const std::string& arch =
-            pool[(static_cast<std::size_t>(c) * 7919 + i * 13) % pool.size()];
-        const Clock::time_point start = Clock::now();
-        sessions[static_cast<std::size_t>(c)].predict(arch);
-        mine.push_back(
-            std::chrono::duration<double, std::micro>(Clock::now() - start)
-                .count());
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const double elapsed_s =
-      std::chrono::duration<double>(Clock::now() - begin).count();
-
-  std::vector<double> all_us;
-  for (const std::vector<double>& per_client : latencies_us) {
-    all_us.insert(all_us.end(), per_client.begin(), per_client.end());
-  }
-  std::sort(all_us.begin(), all_us.end());
-
-  ScenarioResult result;
-  result.name = std::string(warm ? "warm" : "cold") + "_" +
-                std::to_string(clients) +
-                (clients == 1 ? "_client" : "_clients");
-  result.clients = clients;
-  result.warm = warm;
-  result.requests = all_us.size();
-  result.req_per_s =
-      elapsed_s > 0.0 ? static_cast<double>(all_us.size()) / elapsed_s : 0.0;
-  result.p50_us = percentile(all_us, 50);
-  result.p95_us = percentile(all_us, 95);
-  result.p99_us = percentile(all_us, 99);
-  result.p999_us = percentile(all_us, 99.9);
-  return result;
-}
-
-/// Warm routed two-model workload: every client alternates between the
-/// fleet's models request by request, so each batcher round and cache
-/// lookup carries mixed routes.
-ScenarioResult run_fleet_scenario(const std::string& manifest,
-                                  const std::vector<std::string>& pool,
-                                  int clients,
-                                  std::size_t requests_per_client) {
-  esm::serve::ServeConfig config;
-  config.artifact_path = manifest;
-  config.cache_capacity = 4096;
-  esm::serve::PredictionServer server(config);
-  static const char* kModels[2] = {"edge", "cloud"};
-
-  std::vector<esm::serve::ServeClient> sessions;
-  sessions.reserve(static_cast<std::size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
-    esm::serve::StreamPair pair = esm::serve::make_stream_pair();
-    server.serve(pair.server);
-    sessions.emplace_back(pair.client);
-  }
-  // Prime both per-model caches so the measured phase is all hits.
-  for (const char* model : kModels) {
-    for (const std::string& arch : pool) sessions[0].predict(model, arch);
-  }
-
-  std::vector<std::vector<double>> latencies_us(
-      static_cast<std::size_t>(clients));
-  std::vector<std::array<std::size_t, 2>> counts(
-      static_cast<std::size_t>(clients), {0, 0});
-  const Clock::time_point begin = Clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      std::vector<double>& mine = latencies_us[static_cast<std::size_t>(c)];
-      mine.reserve(requests_per_client);
-      for (std::size_t i = 0; i < requests_per_client; ++i) {
-        const std::size_t which = (static_cast<std::size_t>(c) + i) % 2;
-        const std::string& arch =
-            pool[(static_cast<std::size_t>(c) * 7919 + i * 13) % pool.size()];
-        const Clock::time_point start = Clock::now();
-        sessions[static_cast<std::size_t>(c)].predict(kModels[which], arch);
-        mine.push_back(
-            std::chrono::duration<double, std::micro>(Clock::now() - start)
-                .count());
-        ++counts[static_cast<std::size_t>(c)][which];
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const double elapsed_s =
-      std::chrono::duration<double>(Clock::now() - begin).count();
-
-  std::vector<double> all_us;
-  for (const std::vector<double>& per_client : latencies_us) {
-    all_us.insert(all_us.end(), per_client.begin(), per_client.end());
-  }
-  std::sort(all_us.begin(), all_us.end());
-
-  ScenarioResult result;
-  result.name = "fleet_warm_" + std::to_string(clients) + "_clients";
-  result.clients = clients;
-  result.warm = true;
-  result.requests = all_us.size();
-  result.req_per_s =
-      elapsed_s > 0.0 ? static_cast<double>(all_us.size()) / elapsed_s : 0.0;
-  result.p50_us = percentile(all_us, 50);
-  result.p95_us = percentile(all_us, 95);
-  result.p99_us = percentile(all_us, 99);
-  result.p999_us = percentile(all_us, 99.9);
-  for (std::size_t m = 0; m < 2; ++m) {
-    PerModelResult per;
-    per.model = kModels[m];
-    for (const auto& per_client : counts) per.requests += per_client[m];
-    per.req_per_s = elapsed_s > 0.0
-                        ? static_cast<double>(per.requests) / elapsed_s
-                        : 0.0;
-    result.per_model.push_back(std::move(per));
-  }
-  return result;
-}
-
-/// Event-loop front end under `conns` concurrent loopback connections,
-/// all multiplexed on one reactor thread. At most eight driver threads
-/// round-robin their share of the connections, keeping eight requests in
-/// flight per connection for BOTH protocols (esm1 pipelines on the wire
-/// too — its responses just must return in order), so the offered load is
-/// identical and the wire format + completion order are the only
-/// variables. Warm cache; self-checks drops, errors, and the stats
-/// identities before reporting.
-ScenarioResult run_event_loop_scenario(const std::string& artifact,
-                                       const std::vector<std::string>& pool,
-                                       int conns,
-                                       std::size_t requests_per_conn,
-                                       esm::serve::Protocol proto) {
+/// The event-loop front end under `scenario.conns` concurrent loopback
+/// connections, all multiplexed on one reactor thread. At most eight
+/// driver threads round-robin their share of the connections, keeping
+/// `window` requests in flight per connection for BOTH protocols (esm1
+/// pipelines on the wire too — its responses just must return in order),
+/// so at equal windows the wire format and completion order are the only
+/// variables. Self-checks drops, errors, and the stats identities before
+/// reporting.
+ScenarioResult run_event_loop_scenario(const Scenario& scenario,
+                                       const std::vector<std::string>& pool) {
   namespace serve = esm::serve;
-  const bool esm2 = proto == serve::Protocol::esm2;
-  const std::size_t window = 8;
+  const int conns = scenario.conns;
+  const std::vector<std::string>& models = scenario.models;
 
   serve::ServeConfig config;
-  config.artifact_path = artifact;
-  config.cache_capacity = 4096;
+  config.artifact_path = scenario.source;
+  config.cache_capacity = scenario.warm ? 4096 : 0;
   serve::PredictionServer server(config);
   serve::EventLoop loop(server);
   const std::shared_ptr<serve::LoopbackListener> listener =
@@ -338,52 +205,65 @@ ScenarioResult run_event_loop_scenario(const std::string& artifact,
   loop.add_listener(listener);
   std::thread loop_thread([&loop] { loop.run(); });
 
-  {  // Prime every pool entry so the measured phase is all cache hits.
+  if (scenario.warm) {
+    // Prime every pool entry (on every routed model) so the measured phase
+    // is all cache hits.
     serve::EsmClient primer(serve::loopback_channel(listener->connect()),
-                            proto);
-    for (const std::string& arch : pool) primer.predict(arch);
+                            scenario.proto);
+    for (const std::string& arch : pool) {
+      if (models.empty()) primer.predict(arch);
+      for (const std::string& model : models) primer.predict(model, arch);
+    }
     primer.close();
   }
 
   const int driver_threads = std::min(8, conns);
   std::vector<std::vector<double>> latencies_us(
       static_cast<std::size_t>(driver_threads));
+  std::vector<std::atomic<std::size_t>> per_model(models.size());
   std::atomic<std::size_t> request_errors{0};
   const Clock::time_point begin = Clock::now();
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(driver_threads));
   for (int t = 0; t < driver_threads; ++t) {
     threads.emplace_back([&, t] {
+      const std::size_t first =
+          static_cast<std::size_t>(conns * t / driver_threads);
       const std::size_t local =
-          static_cast<std::size_t>(conns * (t + 1) / driver_threads -
-                                   conns * t / driver_threads);
+          static_cast<std::size_t>(conns * (t + 1) / driver_threads) - first;
       std::vector<serve::EsmClient> clients;
       clients.reserve(local);
       for (std::size_t c = 0; c < local; ++c) {
         clients.emplace_back(serve::loopback_channel(listener->connect()),
-                             proto);
+                             scenario.proto);
       }
       std::vector<std::deque<std::pair<std::uint64_t, Clock::time_point>>>
           pending(local);
-      std::vector<std::size_t> remaining(local, requests_per_conn);
+      std::vector<std::size_t> sent(local, 0);
       std::vector<double>& mine = latencies_us[static_cast<std::size_t>(t)];
-      mine.reserve(local * requests_per_conn);
-      std::size_t left = local * requests_per_conn;
+      mine.reserve(local * scenario.requests_per_conn);
+      std::size_t left = local * scenario.requests_per_conn;
       std::size_t outstanding = 0;
       std::size_t counter = 0;
       while (left > 0 || outstanding > 0) {
         // Top every connection's window up, then collect one response per
         // connection; the round-robin keeps all of them in flight at once.
         for (std::size_t c = 0; c < local; ++c) {
-          while (pending[c].size() < window && remaining[c] > 0) {
-            const std::string& arch =
+          while (pending[c].size() < scenario.window &&
+                 sent[c] < scenario.requests_per_conn) {
+            std::string payload =
                 pool[(counter * 131 + c * 7919 +
                       static_cast<std::size_t>(t)) %
                      pool.size()];
             ++counter;
-            pending[c].emplace_back(clients[c].submit("predict", arch),
+            if (!models.empty()) {
+              const std::size_t which = (first + c + sent[c]) % models.size();
+              payload = models[which] + " " + payload;
+              ++per_model[which];
+            }
+            pending[c].emplace_back(clients[c].submit("predict", payload),
                                     Clock::now());
-            --remaining[c];
+            ++sent[c];
             --left;
             ++outstanding;
           }
@@ -410,7 +290,7 @@ ScenarioResult run_event_loop_scenario(const std::string& artifact,
   std::map<std::string, std::string> stats;
   {
     serve::EsmClient auditor(serve::loopback_channel(listener->connect()),
-                             proto);
+                             scenario.proto);
     stats = auditor.stats();
     auditor.close();
   }
@@ -424,16 +304,16 @@ ScenarioResult run_event_loop_scenario(const std::string& artifact,
     return std::stoull(stats.at(key));
   };
   ESM_REQUIRE(loop_stats.dropped == 0,
-              "event-loop bench dropped " << loop_stats.dropped
-                                          << " connection(s)");
+              scenario.name << " dropped " << loop_stats.dropped
+                            << " connection(s)");
   ESM_REQUIRE(request_errors.load() == 0,
-              "event-loop bench saw " << request_errors.load()
-                                      << " request error(s)");
+              scenario.name << " saw " << request_errors.load()
+                            << " request error(s)");
   ESM_REQUIRE(stat("errors") == 0 &&
                   stat("requests") ==
                       stat("hits") + stat("misses") + stat("errors") &&
                   stat("archs") == stat("arch_hits") + stat("arch_misses"),
-              "event-loop bench stats do not reconcile");
+              scenario.name << " stats do not reconcile");
 
   std::vector<double> all_us;
   for (const std::vector<double>& per_thread : latencies_us) {
@@ -442,12 +322,11 @@ ScenarioResult run_event_loop_scenario(const std::string& artifact,
   std::sort(all_us.begin(), all_us.end());
 
   ScenarioResult result;
-  result.name = std::string(esm2 ? "esm2" : "esm1") + "_" +
-                std::to_string(conns) +
-                (conns == 1 ? "_conn" : "_conns");
-  result.proto = esm2 ? "esm2" : "esm1";
+  result.name = scenario.name;
+  result.proto =
+      scenario.proto == serve::Protocol::esm2 ? "esm2" : "esm1";
   result.clients = conns;
-  result.warm = true;
+  result.warm = scenario.warm;
   result.requests = all_us.size();
   result.req_per_s =
       elapsed_s > 0.0 ? static_cast<double>(all_us.size()) / elapsed_s : 0.0;
@@ -455,6 +334,15 @@ ScenarioResult run_event_loop_scenario(const std::string& artifact,
   result.p95_us = percentile(all_us, 95);
   result.p99_us = percentile(all_us, 99);
   result.p999_us = percentile(all_us, 99.9);
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    PerModelResult per;
+    per.model = models[m];
+    per.requests = per_model[m].load();
+    per.req_per_s = elapsed_s > 0.0
+                        ? static_cast<double>(per.requests) / elapsed_s
+                        : 0.0;
+    result.per_model.push_back(std::move(per));
+  }
   return result;
 }
 
@@ -667,8 +555,9 @@ void write_json(const std::string& path,
 int main(int argc, char** argv) {
   esm::ArgParser args(
       "serve_throughput: requests/s and latency percentiles of the online "
-      "prediction server, cold vs warm cache, 1 and 8 client threads");
-  args.add_int("requests", 2000, "requests per client thread per scenario");
+      "prediction server through its event-loop front end");
+  args.add_int("requests", 2000,
+               "requests per client in the cold/warm/fleet scenarios");
   args.add_int("pool", 311, "distinct architectures in the request pool");
   args.add_string("out", "BENCH_serve.json", "output JSON path");
   if (!args.parse(argc, argv)) return 0;
@@ -679,49 +568,70 @@ int main(int argc, char** argv) {
   const std::size_t per_client =
       static_cast<std::size_t>(args.get_int("requests"));
 
-  std::vector<ScenarioResult> results;
-  for (const bool warm : {false, true}) {
-    for (const int clients : {1, 8}) {
-      results.push_back(run_scenario(artifact, pool, clients, warm,
-                                     per_client));
-      const ScenarioResult& r = results.back();
-      std::cout << r.name << ": " << r.requests << " requests, "
-                << static_cast<long long>(r.req_per_s) << " req/s, p50 "
-                << r.p50_us << " us, p95 " << r.p95_us << " us, p99 "
-                << r.p99_us << " us\n";
-    }
-  }
-
-  const std::string manifest = build_fleet_manifest(
-      artifact, build_artifact(fixture_path("serve_bench_b.esm"), 1.37));
-  results.push_back(run_fleet_scenario(manifest, pool, 8, per_client));
-  {
-    const ScenarioResult& r = results.back();
+  const auto report = [](const ScenarioResult& r) {
     std::cout << r.name << ": " << r.requests << " requests, "
               << static_cast<long long>(r.req_per_s) << " req/s, p50 "
               << r.p50_us << " us, p95 " << r.p95_us << " us, p99 "
-              << r.p99_us << " us";
+              << r.p99_us << " us, p999 " << r.p999_us << " us";
     for (const PerModelResult& per : r.per_model) {
       std::cout << ", " << per.model << " "
                 << static_cast<long long>(per.req_per_s) << " req/s";
     }
     std::cout << "\n";
+  };
+
+  // Synchronous clients (one request in flight each), cold vs warm cache.
+  std::vector<ScenarioResult> results;
+  for (const bool warm : {false, true}) {
+    for (const int clients : {1, 8}) {
+      Scenario scenario;
+      scenario.name = std::string(warm ? "warm" : "cold") + "_" +
+                      std::to_string(clients) +
+                      (clients == 1 ? "_client" : "_clients");
+      scenario.source = artifact;
+      scenario.conns = clients;
+      scenario.requests_per_conn = per_client;
+      scenario.window = 1;
+      scenario.warm = warm;
+      results.push_back(run_event_loop_scenario(scenario, pool));
+      report(results.back());
+    }
   }
 
-  // Event-loop front end: both protocols at each concurrency level, the
-  // same ~16k-request workload split across the connections.
+  // Warm routed two-model workload: every client alternates between the
+  // fleet's models request by request, so each batcher round and cache
+  // lookup carries mixed routes.
+  {
+    Scenario scenario;
+    scenario.name = "fleet_warm_8_clients";
+    scenario.source = build_fleet_manifest(
+        artifact, build_artifact(fixture_path("serve_bench_b.esm"), 1.37));
+    scenario.conns = 8;
+    scenario.requests_per_conn = per_client;
+    scenario.window = 1;
+    scenario.models = {"edge", "cloud"};
+    results.push_back(run_event_loop_scenario(scenario, pool));
+    report(results.back());
+  }
+
+  // Pipelined clients: both protocols at each concurrency level, the same
+  // ~16k-request workload split across the connections.
   for (const int conns : {1, 8, 256, 4096}) {
-    const std::size_t per_conn =
-        std::max<std::size_t>(2, 16384 / static_cast<std::size_t>(conns));
     for (const esm::serve::Protocol proto :
          {esm::serve::Protocol::esm1, esm::serve::Protocol::esm2}) {
-      results.push_back(
-          run_event_loop_scenario(artifact, pool, conns, per_conn, proto));
-      const ScenarioResult& r = results.back();
-      std::cout << r.name << ": " << r.requests << " requests, "
-                << static_cast<long long>(r.req_per_s) << " req/s, p50 "
-                << r.p50_us << " us, p99 " << r.p99_us << " us, p999 "
-                << r.p999_us << " us\n";
+      Scenario scenario;
+      scenario.proto = proto;
+      scenario.name = std::string(proto == esm::serve::Protocol::esm2
+                                      ? "esm2"
+                                      : "esm1") +
+                      "_" + std::to_string(conns) +
+                      (conns == 1 ? "_conn" : "_conns");
+      scenario.source = artifact;
+      scenario.conns = conns;
+      scenario.requests_per_conn =
+          std::max<std::size_t>(2, 16384 / static_cast<std::size_t>(conns));
+      results.push_back(run_event_loop_scenario(scenario, pool));
+      report(results.back());
     }
   }
 

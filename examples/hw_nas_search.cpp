@@ -2,8 +2,9 @@
 //
 //   1. Build a latency predictor for the MobileNetV3 space on the target
 //      device with the ESM framework (balanced sampling + FCC encoding).
-//   2. Run a latency-constrained evolutionary search that queries ONLY the
-//      predictor (no device measurements inside the search loop).
+//   2. Run a latency-constrained evolutionary search (the SearchEngine in
+//      best-under-limit mode) that queries ONLY the predictor (no device
+//      measurements inside the search loop).
 //   3. Cross-check the returned architectures on the ground-truth simulator
 //      — an accurate surrogate keeps the search honest (Fig. 2's lesson).
 //
@@ -16,7 +17,7 @@
 #include "common/table.hpp"
 #include "esm/framework.hpp"
 #include "nas/accuracy_proxy.hpp"
-#include "nas/search.hpp"
+#include "nas/search/engine.hpp"
 #include "nets/builder.hpp"
 
 int main(int argc, char** argv) {
@@ -67,35 +68,41 @@ int main(int argc, char** argv) {
   std::cout << "Searching for the most accurate model under "
             << esm::format_double(budget_ms, 3) << " ms...\n";
 
-  esm::SearchConfig search_config;
+  esm::search::EngineConfig search_config;
+  search_config.mode = esm::search::Mode::best;
   search_config.population = 64;
   search_config.generations = 25;
-  search_config.parents = 16;
-  search_config.latency_limit_ms = budget_ms;
   search_config.seed = static_cast<std::uint64_t>(args.get_int("seed")) + 1;
-  esm::EvolutionarySearch search(config.spec, search_config);
+  const esm::search::SearchEngine engine(config.spec, search_config);
   const esm::AccuracyProxy proxy(config.spec);
-  const esm::SearchResult found = search.run(*esm_result.predictor, proxy);
+  const esm::search::SearchOutcome found = engine.run(
+      {{device_spec.name, esm_result.predictor.get(), budget_ms}}, proxy);
 
   std::cout << "  evaluated " << found.evaluations
             << " candidates through the surrogate (zero device runs)\n\n";
 
   // --- 3. verify the top candidates on the ground truth ---------------
+  // The front runs from fastest to most accurate, so the most accurate
+  // candidates are at its end; with nothing feasible, show the closest miss.
+  std::vector<std::size_t> top(found.front.rbegin(), found.front.rend());
+  if (top.empty()) top.push_back(found.best);
+  if (top.size() > 5) top.resize(5);
   esm::print_banner(std::cout, "Top candidates: surrogate vs ground truth");
   esm::TablePrinter table({"blocks", "proxy top-5", "predicted (ms)",
                            "actual (ms)", "meets budget"});
-  std::size_t shown = 0;
-  for (const esm::Candidate& c : found.population) {
-    if (shown++ >= 5) break;
+  for (const std::size_t i : top) {
+    const esm::search::ScoredArch& c = found.candidates[i];
     const double actual =
         device.true_latency_ms(esm::build_graph(config.spec, c.arch));
     table.add_row({std::to_string(c.arch.total_blocks()),
-                   esm::format_percent(c.proxy_accuracy, 1),
-                   esm::format_double(c.predicted_latency_ms, 3),
+                   esm::format_percent(c.quality, 1),
+                   esm::format_double(c.latency_ms.front(), 3),
                    esm::format_double(actual, 3),
                    actual <= budget_ms * 1.02 ? "yes" : "NO"});
   }
   table.print(std::cout);
-  std::cout << "\nBest architecture: " << found.best.arch.to_string() << "\n";
+  std::cout << "\n" << (found.found_feasible ? "Best" : "Closest-miss")
+            << " architecture: "
+            << found.candidates[found.best].arch.to_string() << "\n";
   return 0;
 }

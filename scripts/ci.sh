@@ -23,7 +23,9 @@
 #                         a search determinism smoke (`esm_cli search
 #                         --format serve` must print byte-identical front
 #                         payloads to the served `search` verb for the same
-#                         artifact and seed), then
+#                         artifact and seed), then a short serve_throughput
+#                         run (every scenario self-checks zero drops, zero
+#                         request errors, and exact stats identities), then
 #                         a scalar-fallback build (-DESM_SIMD=off) running
 #                         the linalg + encoding + parallel + fastpath +
 #                         serve suites (the portable GEMM path must stay
@@ -37,11 +39,12 @@
 #                         serve + fleet + frame + event-loop + overload +
 #                         chaos suites (journal writes sit on the ordered
 #                         reduction path of the thread pool; serve
-#                         exercises sessions, batcher, routing, and cache
-#                         concurrently; the event loop adds the reactor
-#                         thread against both; overload adds shedding and
-#                         deadline expiry races; chaos adds the seeded
-#                         fault decorators under the 10k-connection pin)
+#                         exercises client threads, reactor, batcher,
+#                         routing, and cache concurrently; the event loop
+#                         adds backpressure and drain; overload adds
+#                         shedding and deadline expiry races; chaos adds
+#                         the seeded fault decorators under the
+#                         10k-connection pin)
 #
 # Thread-count invariance is covered inside the suites themselves
 # (parallel_test pins 1-thread vs 8-thread bit-identity), so CI only needs
@@ -101,7 +104,7 @@ for _ in $(seq 1 100); do
 done
 [ -s "$SMOKE_DIR/port" ] || { echo "esm_serve never published its port"; exit 1; }
 SERVE_PORT="$(cat "$SMOKE_DIR/port")"
-printf 'predict 3,5,2,7\nstats\nshutdown\n' \
+printf 'predict 3,5,2,7\nstats\n' \
   | build/examples/esm_serve --connect "$SERVE_PORT" > "$SMOKE_DIR/serve.out" \
   || { echo "esm_serve client reported an error"; exit 1; }
 grep -q "^esm1 ok predict " "$SMOKE_DIR/serve.out" \
@@ -109,7 +112,9 @@ grep -q "^esm1 ok predict " "$SMOKE_DIR/serve.out" \
 grep -q "^esm1 ok stats .*requests=1" "$SMOKE_DIR/serve.out" \
   || { echo "loopback stats failed"; cat "$SMOKE_DIR/serve.out"; exit 1; }
 # The same port speaks the binary esm2 protocol, negotiated per connection
-# by the first byte; the esm2 client must see the identical prediction.
+# by the first byte; the esm2 client must see the identical prediction,
+# and its `shutdown` drains the server (so the esm1 client above must not
+# send one: a drained server refuses the esm2 connection).
 printf 'predict 3,5,2,7\nshutdown\n' \
   | build/examples/esm_serve --connect "$SERVE_PORT" --proto esm2 \
   > "$SMOKE_DIR/serve2.out" \
@@ -256,6 +261,15 @@ cmp "$SMOKE_DIR/search_cli.out" "$SMOKE_DIR/search_served.payload" \
 wait "$SEARCH_PID" \
   || { echo "search esm_serve exited non-zero after shutdown"; exit 1; }
 echo "search smoke test passed (CLI front bytes == served front bytes)"
+
+echo "== serve_throughput smoke test =="
+# A short run of the serving bench for its self-checks, not its numbers:
+# every scenario must finish with zero dropped connections, zero request
+# errors, and exact stats identities, or the bench exits non-zero.
+build/bench/serve_throughput --requests 50 \
+  --out "$SMOKE_DIR/BENCH_serve.json" >/dev/null \
+  || { echo "serve_throughput smoke FAILED"; exit 1; }
+echo "serve_throughput smoke test passed"
 
 echo "== scalar tier (ESM_SIMD=off: portable GEMM path) =="
 # The vector microkernel and the scalar fallback must agree bit-for-bit;

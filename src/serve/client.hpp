@@ -8,8 +8,7 @@
 // Two API levels:
 //   - Sync verbs (predict, predict_batch, info, models, stats, reload,
 //     shutdown): send one request, block for its response, throw
-//     esm::ConfigError on structured errors. Same surface as the PR-5
-//     ServeClient, protocol-independent.
+//     esm::ConfigError on structured errors; protocol-independent.
 //   - Pipelining (submit/await): queue many requests without waiting, then
 //     collect responses by id. Over esm2 the server completes requests out
 //     of order and the id match is native; over esm1 responses arrive in

@@ -11,9 +11,9 @@
 //   - The first byte of each connection selects its protocol: 0xE5 is the
 //     esm2 frame magic (outside ASCII), anything else is an esm1 text
 //     line. A connection never switches protocols.
-//   - Requests are handed to PredictionServer::handle_request, the same
-//     transport-agnostic core the thread-per-session path uses, so both
-//     front ends answer bit-identically and share one metrics sink. Cache
+//   - Requests are handed to PredictionServer::handle_request, the
+//     transport-agnostic core, so both protocols answer bit-identically
+//     and share one metrics sink. Cache
 //     hits and control verbs complete inline; prediction misses complete
 //     from the batcher thread. Completions are queued back to the reactor
 //     (self-pipe wake) and written from the loop thread — handlers never
@@ -37,7 +37,7 @@
 //     pass, every complete request already on the wire is answered and
 //     flushed, partial trailing bytes are discarded, and run() returns
 //     only after every in-flight completion came back — no request that
-//     was read is ever dropped, the same contract the session path keeps.
+//     was read is ever dropped.
 #pragma once
 
 #include <atomic>

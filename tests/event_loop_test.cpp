@@ -39,6 +39,7 @@
 #include "serve/transport.hpp"
 #include "surrogate/gbdt_surrogate.hpp"
 #include "surrogate/registry.hpp"
+#include "serve_harness.hpp"
 
 namespace esm {
 namespace {
@@ -50,10 +51,12 @@ using serve::Frame;
 using serve::FrameParse;
 using serve::FrameVerb;
 using serve::LoopbackChannel;
-using serve::LoopbackListener;
 using serve::PredictionServer;
 using serve::Protocol;
 using serve::ServeConfig;
+using test::arch_pool;
+using test::LoopbackHarness;
+using test::offline_predictions;
 
 /// Trains a small GBDT on 64 ResNet archs and saves it under TempDir.
 std::string build_artifact(const std::string& name) {
@@ -81,82 +84,7 @@ const std::string& artifact() {
   return path;
 }
 
-/// Distinct request specs (same construction as tests/serve_test.cpp).
-std::vector<std::string> arch_pool(std::size_t limit) {
-  static const char* kFeatures[] = {"",        ":k5",       ":k7",
-                                    ":k3e1",   ":k5e0.667", ":k7e1",
-                                    ":k3e0.5", ":k5e1",     ":k7e0.667"};
-  std::vector<std::string> pool;
-  std::size_t n = 0;
-  for (int a = 1; a <= 7 && pool.size() < limit; ++a)
-    for (int b = 1; b <= 7 && pool.size() < limit; ++b)
-      for (int c = 1; c <= 7 && pool.size() < limit; ++c)
-        for (int d = 1; d <= 7 && pool.size() < limit; ++d) {
-          const int depths[4] = {a, b, c, d};
-          std::string request;
-          for (std::size_t u = 0; u < 4; ++u) {
-            if (u > 0) request += ',';
-            request += std::to_string(depths[u]);
-            request += kFeatures[(n + u * 3) % 9];
-          }
-          ++n;
-          pool.push_back(std::move(request));
-        }
-  return pool;
-}
-
-/// Offline ground truth through the same parser + predict_all path the
-/// server uses; responses must match these bit-for-bit.
-std::map<std::string, double> offline_predictions(
-    const std::vector<std::string>& specs) {
-  const std::shared_ptr<TrainableSurrogate> model =
-      load_surrogate(artifact());
-  std::vector<ArchConfig> archs;
-  archs.reserve(specs.size());
-  for (const std::string& spec : specs) {
-    archs.push_back(serve::parse_arch_request(model->spec(), spec));
-  }
-  const std::vector<double> values = model->predict_all(archs);
-  std::map<std::string, double> out;
-  for (std::size_t i = 0; i < specs.size(); ++i) out[specs[i]] = values[i];
-  return out;
-}
-
-/// Server + event loop + loopback listener running on a background
-/// thread. Declaration order is the required destruction order: the loop
-/// must drain before the server stops.
-struct Harness {
-  PredictionServer server;
-  EventLoop loop;
-  std::shared_ptr<LoopbackListener> listener;
-  std::thread thread;
-
-  explicit Harness(ServeConfig config = make_config(),
-                   EventLoopConfig loop_config = EventLoopConfig{})
-      : server(std::move(config)),
-        loop(server, std::move(loop_config)),
-        listener(serve::make_loopback_listener()) {
-    loop.add_listener(listener);
-    thread = std::thread([this] { loop.run(); });
-  }
-
-  ~Harness() {
-    loop.request_stop();
-    thread.join();
-    server.request_stop();
-    server.wait();
-  }
-
-  static ServeConfig make_config() {
-    ServeConfig config;
-    config.artifact_path = artifact();
-    return config;
-  }
-
-  EsmClient client(Protocol protocol) {
-    return EsmClient(serve::loopback_channel(listener->connect()), protocol);
-  }
-};
+ServeConfig make_config() { return test::serve_config(artifact()); }
 
 /// Reads whole esm2 frames straight off a loopback channel (for tests
 /// that assert on wire order, below EsmClient's id matching).
@@ -174,7 +102,7 @@ Frame next_frame(LoopbackChannel& channel, std::string& buffer) {
 }
 
 TEST(EventLoopTest, Esm1RoundTripsEveryVerb) {
-  Harness harness;
+  LoopbackHarness harness(make_config());
   EsmClient client = harness.client(Protocol::esm1);
 
   const double value = client.predict("3,5,2,7");
@@ -201,7 +129,7 @@ TEST(EventLoopTest, Esm1RoundTripsEveryVerb) {
 }
 
 TEST(EventLoopTest, Esm2RoundTripsEveryVerb) {
-  Harness harness;
+  LoopbackHarness harness(make_config());
   EsmClient client = harness.client(Protocol::esm2);
 
   const double value = client.predict("3,5,2,7");
@@ -224,7 +152,7 @@ TEST(EventLoopTest, Esm2RoundTripsEveryVerb) {
 }
 
 TEST(EventLoopTest, ProtocolsAnswerBitIdentically) {
-  Harness harness;
+  LoopbackHarness harness(make_config());
   EsmClient esm1 = harness.client(Protocol::esm1);
   EsmClient esm2 = harness.client(Protocol::esm2);
   for (const std::string& spec : arch_pool(32)) {
@@ -238,9 +166,10 @@ TEST(EventLoopTest, ProtocolsAnswerBitIdentically) {
 }
 
 TEST(EventLoopTest, MixedProtocolsShareOneListenerConcurrently) {
-  Harness harness;
+  LoopbackHarness harness(make_config());
   const std::vector<std::string> pool = arch_pool(64);
-  const std::map<std::string, double> expected = offline_predictions(pool);
+  const std::map<std::string, double> expected =
+      offline_predictions(artifact(), pool);
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 6; ++t) {
@@ -265,9 +194,9 @@ TEST(EventLoopTest, Esm2CompletesOutOfOrderMatchedById) {
   // on the wire. The scheduler can still let the batcher win a round
   // (this box has one core), so the overtake is asserted across
   // attempts, while the id<->verb matching must hold on every one.
-  ServeConfig config = Harness::make_config();
+  ServeConfig config = make_config();
   config.cache_capacity = 0;  // keep the batch a miss on every attempt
-  Harness harness(config);
+  LoopbackHarness harness(config);
   std::string batch;
   const std::vector<std::string> pool = arch_pool(64);
   for (std::size_t i = 0; i < pool.size(); ++i) {
@@ -300,7 +229,7 @@ TEST(EventLoopTest, Esm2CompletesOutOfOrderMatchedById) {
 }
 
 TEST(EventLoopTest, Esm1ResponsesStayInRequestOrder) {
-  Harness harness;
+  LoopbackHarness harness(make_config());
   std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
   // Same shape as above, but esm1: even though `models` completes first
   // internally, the wire order must match the request order.
@@ -326,7 +255,7 @@ TEST(EventLoopTest, MalformedFrameMatrixAnswersThenCloses) {
   // Each corrupt frame must earn exactly one connection-level error frame
   // (request id 0, code bad_frame) followed by end-of-stream.
   const auto expect_bad_frame = [](std::string wire) {
-    Harness harness;
+    LoopbackHarness harness(make_config());
     std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
     ASSERT_TRUE(channel->send(wire));
     std::string buffer;
@@ -377,7 +306,7 @@ TEST(EventLoopTest, MalformedFrameMatrixAnswersThenCloses) {
   }
   {  // valid frame, then interleaved garbage: the first is answered, the
      // garbage earns the bad_frame close
-    Harness harness;
+    LoopbackHarness harness(make_config());
     std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
     ASSERT_TRUE(channel->send(valid + "garbage that is not a frame"));
     // Both frames must arrive (the valid request answered, the garbage
@@ -398,7 +327,7 @@ TEST(EventLoopTest, MalformedFrameMatrixAnswersThenCloses) {
 }
 
 TEST(EventLoopTest, TruncatedFrameWaitsInsteadOfClosing) {
-  Harness harness;
+  LoopbackHarness harness(make_config());
   std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
   const std::string wire =
       serve::encode_request(3, FrameVerb::predict, "3,5,2,7");
@@ -414,7 +343,7 @@ TEST(EventLoopTest, TruncatedFrameWaitsInsteadOfClosing) {
 }
 
 TEST(EventLoopTest, UnknownFrameVerbEarnsStructuredError) {
-  Harness harness;
+  LoopbackHarness harness(make_config());
   std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
   ASSERT_TRUE(channel->send(serve::encode_frame(11, 42, "whatever")));
   std::string buffer;
@@ -432,11 +361,11 @@ TEST(EventLoopTest, UnknownFrameVerbEarnsStructuredError) {
 TEST(EventLoopTest, OversizedEsm2PayloadGetsStructuredError) {
   // Within the frame cap but over ServeConfig::max_line_bytes: the same
   // structured `oversized` error esm1 answers, and the connection lives.
-  ServeConfig config = Harness::make_config();
+  ServeConfig config = make_config();
   config.max_line_bytes = 256;
   EventLoopConfig loop_config;
   loop_config.max_frame_payload = 4096;
-  Harness harness(config, loop_config);
+  LoopbackHarness harness(config, loop_config);
   EsmClient client = harness.client(Protocol::esm2);
   const EsmClient::Response big =
       client.call("predict", std::string(1024, '1'));
@@ -452,7 +381,7 @@ TEST(EventLoopTest, BackpressurePausesThenRecovers) {
   EventLoopConfig loop_config;
   loop_config.out_high_watermark = 1024;
   loop_config.out_hard_cap = 1 << 20;
-  Harness harness(Harness::make_config(), loop_config);
+  LoopbackHarness harness(make_config(), loop_config);
   std::shared_ptr<LoopbackChannel> channel = harness.listener->connect(512);
   EsmClient client(serve::loopback_channel(channel), Protocol::esm1);
 
@@ -471,7 +400,7 @@ TEST(EventLoopTest, SlowClientIsDroppedByWriteStall) {
   loop_config.out_high_watermark = 256;
   loop_config.write_stall_timeout_s = 0.05;
   loop_config.tick_ms = 10;
-  Harness harness(Harness::make_config(), loop_config);
+  LoopbackHarness harness(make_config(), loop_config);
   std::shared_ptr<LoopbackChannel> channel = harness.listener->connect(64);
   // Flood without ever reading: output fills its 64-byte window and
   // stalls until the reaper drops the connection.
@@ -491,9 +420,9 @@ TEST(EventLoopTest, Esm1HoldBackQueueIsCapped) {
   // dropped instead of buffering without bound.
   EventLoopConfig loop_config;
   loop_config.max_held_responses = 4;
-  ServeConfig config = Harness::make_config();
+  ServeConfig config = make_config();
   config.cache_capacity = 0;
-  Harness harness(config, loop_config);
+  LoopbackHarness harness(config, loop_config);
   std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
 
   // Head of line: a heavy uncached batch that pins seq 0 in the batcher
@@ -520,8 +449,9 @@ TEST(EventLoopTest, GatherFlushSurvivesTinyWriteWindows) {
   // the gather path must resume mid-buffer without corrupting or
   // reordering any pipelined esm2 response.
   const std::vector<std::string> pool = arch_pool(32);
-  const std::map<std::string, double> expected = offline_predictions(pool);
-  Harness harness;
+  const std::map<std::string, double> expected =
+      offline_predictions(artifact(), pool);
+  LoopbackHarness harness(make_config());
   std::shared_ptr<LoopbackChannel> channel = harness.listener->connect(64);
   EsmClient client(serve::loopback_channel(channel), Protocol::esm2);
 
@@ -566,7 +496,7 @@ TEST(EventLoopTest, TcpAndLoopbackFlushByteIdentically) {
 
   std::string loopback_bytes;
   {
-    Harness harness;
+    LoopbackHarness harness(make_config());
     // A small response cap keeps the loopback side making partial
     // gather-flush progress the whole time.
     loopback_bytes =
@@ -575,7 +505,7 @@ TEST(EventLoopTest, TcpAndLoopbackFlushByteIdentically) {
 
   std::string tcp_bytes;
   {
-    PredictionServer server(Harness::make_config());
+    PredictionServer server(make_config());
     EventLoop loop(server);
     int port = 0;
     loop.add_listener(
@@ -596,7 +526,7 @@ TEST(EventLoopTest, IdleConnectionIsReaped) {
   EventLoopConfig loop_config;
   loop_config.idle_timeout_s = 0.05;
   loop_config.tick_ms = 10;
-  Harness harness(Harness::make_config(), loop_config);
+  LoopbackHarness harness(make_config(), loop_config);
   std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
   ASSERT_TRUE(channel->send("models\n"));
   std::string out;
@@ -610,7 +540,7 @@ TEST(EventLoopTest, IdleConnectionIsReaped) {
 }
 
 TEST(EventLoopTest, DrainAnswersEverythingOnTheWire) {
-  Harness harness;
+  LoopbackHarness harness(make_config());
   constexpr int kClients = 16;
   constexpr int kPerClient = 25;
   std::vector<std::shared_ptr<LoopbackChannel>> channels;
@@ -635,11 +565,10 @@ TEST(EventLoopTest, DrainAnswersEverythingOnTheWire) {
 }
 
 TEST(EventLoopTest, ShutdownVerbDrainsTheLoop) {
-  Harness harness;
+  LoopbackHarness harness(make_config());
   EsmClient client = harness.client(Protocol::esm2);
   client.shutdown();
   harness.thread.join();
-  harness.thread = std::thread([] {});  // keep the destructor's join valid
   // The listener closed with the drain: no new connections.
   EXPECT_EQ(harness.listener->connect(), nullptr);
 }
@@ -647,7 +576,7 @@ TEST(EventLoopTest, ShutdownVerbDrainsTheLoop) {
 TEST(EventLoopTest, PollBackendServesIdentically) {
   EventLoopConfig loop_config;
   loop_config.force_poll = true;
-  Harness harness(Harness::make_config(), loop_config);
+  LoopbackHarness harness(make_config(), loop_config);
   EXPECT_EQ(harness.loop.backend(), "poll");
   EsmClient esm1 = harness.client(Protocol::esm1);
   EsmClient esm2 = harness.client(Protocol::esm2);
@@ -659,7 +588,7 @@ TEST(EventLoopTest, PollBackendServesIdentically) {
 }
 
 TEST(EventLoopTest, TcpTransportEndToEnd) {
-  ServeConfig config = Harness::make_config();
+  ServeConfig config = make_config();
   PredictionServer server(config);
   EventLoop loop(server);
   int port = 0;
@@ -697,9 +626,10 @@ TEST(EventLoopTest, TenThousandConcurrentConnectionsZeroDrops) {
   constexpr int kPerConn = 2;
 
   const std::vector<std::string> pool = arch_pool(311);
-  const std::map<std::string, double> expected = offline_predictions(pool);
+  const std::map<std::string, double> expected =
+      offline_predictions(artifact(), pool);
 
-  Harness harness;
+  LoopbackHarness harness(make_config());
   std::atomic<std::size_t> mismatches{0};
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {

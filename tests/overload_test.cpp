@@ -36,6 +36,7 @@
 #include "serve/transport.hpp"
 #include "surrogate/gbdt_surrogate.hpp"
 #include "surrogate/registry.hpp"
+#include "serve_harness.hpp"
 
 namespace esm {
 namespace {
@@ -43,17 +44,15 @@ namespace {
 using serve::ChannelFactory;
 using serve::ClientChannel;
 using serve::EsmClient;
-using serve::EventLoop;
-using serve::EventLoopConfig;
 using serve::Frame;
 using serve::FrameParse;
 using serve::FrameVerb;
 using serve::HedgedClient;
 using serve::LoopbackChannel;
-using serve::LoopbackListener;
-using serve::PredictionServer;
 using serve::Protocol;
 using serve::ServeConfig;
+using test::arch_pool;
+using test::LoopbackHarness;
 
 std::string build_artifact(const std::string& name, int estimators) {
   const SupernetSpec spec = resnet_spec();
@@ -90,29 +89,6 @@ const std::string& slow_artifact() {
   return path;
 }
 
-std::vector<std::string> arch_pool(std::size_t limit) {
-  static const char* kFeatures[] = {"",        ":k5",       ":k7",
-                                    ":k3e1",   ":k5e0.667", ":k7e1",
-                                    ":k3e0.5", ":k5e1",     ":k7e0.667"};
-  std::vector<std::string> pool;
-  std::size_t n = 0;
-  for (int a = 1; a <= 7 && pool.size() < limit; ++a)
-    for (int b = 1; b <= 7 && pool.size() < limit; ++b)
-      for (int c = 1; c <= 7 && pool.size() < limit; ++c)
-        for (int d = 1; d <= 7 && pool.size() < limit; ++d) {
-          const int depths[4] = {a, b, c, d};
-          std::string request;
-          for (std::size_t u = 0; u < 4; ++u) {
-            if (u > 0) request += ',';
-            request += std::to_string(depths[u]);
-            request += kFeatures[(n + u * 3) % 9];
-          }
-          ++n;
-          pool.push_back(std::move(request));
-        }
-  return pool;
-}
-
 /// A slow request: one predict_batch over `archs` distinct architectures
 /// with the cache off keeps the batcher busy for a full dispatch round.
 /// Note the server enqueues one batcher entry PER MISS ARCH, so a payload
@@ -142,49 +118,16 @@ std::string heavy_batch_payload(std::size_t archs) {
   return payload;
 }
 
-struct Harness {
-  PredictionServer server;
-  EventLoop loop;
-  std::shared_ptr<LoopbackListener> listener;
-  std::thread thread;
+ServeConfig make_config() { return test::serve_config(artifact()); }
 
-  explicit Harness(ServeConfig config = make_config(),
-                   EventLoopConfig loop_config = EventLoopConfig{})
-      : server(std::move(config)),
-        loop(server, std::move(loop_config)),
-        listener(serve::make_loopback_listener()) {
-    loop.add_listener(listener);
-    thread = std::thread([this] { loop.run(); });
-  }
-
-  ~Harness() {
-    loop.request_stop();
-    thread.join();
-    server.request_stop();
-    server.wait();
-  }
-
-  static ServeConfig make_config() {
-    ServeConfig config;
-    config.artifact_path = artifact();
-    return config;
-  }
-
-  /// Queue-pressure setup: the slow model, no cache, one entry per
-  /// dispatch round. A 1000-arch batch pins the batcher for tens of
-  /// milliseconds.
-  static ServeConfig slow_config() {
-    ServeConfig config;
-    config.artifact_path = slow_artifact();
-    config.cache_capacity = 0;
-    config.max_batch = 1;
-    return config;
-  }
-
-  EsmClient client(Protocol protocol) {
-    return EsmClient(serve::loopback_channel(listener->connect()), protocol);
-  }
-};
+/// Queue-pressure setup: the slow model, no cache, one entry per dispatch
+/// round. A 1000-arch batch pins the batcher for tens of milliseconds.
+ServeConfig slow_config() {
+  ServeConfig config = test::serve_config(slow_artifact());
+  config.cache_capacity = 0;
+  config.max_batch = 1;
+  return config;
+}
 
 Frame next_frame(LoopbackChannel& channel, std::string& buffer) {
   for (;;) {
@@ -211,7 +154,7 @@ TEST(OverloadTest, Esm1DeadlineTokenExpiresInQueue) {
   // milliseconds (1000 per-arch entries, one per dispatch round); a 1 ms
   // deadline queued behind it must expire at dequeue and answer
   // deadline_exceeded without spending a predict_all slot.
-  Harness harness(Harness::slow_config());
+  LoopbackHarness harness(slow_config());
   EsmClient client = harness.client(Protocol::esm1);
 
   const std::string slow = heavy_batch_payload(1000);
@@ -241,7 +184,7 @@ TEST(OverloadTest, Esm1DeadlineTokenExpiresInQueue) {
 }
 
 TEST(OverloadTest, Esm2DeadlineFrameExpiresInQueue) {
-  Harness harness(Harness::slow_config());
+  LoopbackHarness harness(slow_config());
   std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
 
   constexpr std::uint64_t kPins = 2;
@@ -273,7 +216,7 @@ TEST(OverloadTest, Esm2DeadlineFrameExpiresInQueue) {
 
 TEST(OverloadTest, GenerousDeadlineDoesNotPerturbServing) {
   // A deadline far in the future must serve bit-identically to none.
-  Harness harness;
+  LoopbackHarness harness(make_config());
   EsmClient client = harness.client(Protocol::esm1);
   const EsmClient::Response plain = client.call("predict", "3,5,2,7");
   const EsmClient::Response budgeted =
@@ -285,7 +228,7 @@ TEST(OverloadTest, GenerousDeadlineDoesNotPerturbServing) {
 }
 
 TEST(OverloadTest, MalformedDeadlineTokenIsBadRequest) {
-  Harness harness;
+  LoopbackHarness harness(make_config());
   EsmClient client = harness.client(Protocol::esm1);
   const EsmClient::Response bad = client.call("predict", "deadline=zero 3,5,2,7");
   EXPECT_FALSE(bad.ok);
@@ -295,9 +238,9 @@ TEST(OverloadTest, MalformedDeadlineTokenIsBadRequest) {
 TEST(OverloadTest, DefaultDeadlineAppliesWhenRequestCarriesNone) {
   // With a 1 ms server-wide default and the batcher pinned, even plain
   // requests expire; a per-request deadline overrides the default.
-  ServeConfig config = Harness::slow_config();
+  ServeConfig config = slow_config();
   config.default_deadline_ms = 1;
-  Harness harness(config);
+  LoopbackHarness harness(config);
   EsmClient client = harness.client(Protocol::esm1);
 
   // The pinning batches carry explicit roomy deadlines so the server
@@ -328,9 +271,9 @@ TEST(OverloadTest, FullQueueShedsWithOverloaded) {
   // for tens of milliseconds: a pipelined flood must be answered — a few
   // served into freed slots, the rest shed immediately with `overloaded`
   // — and the metrics identity must reconcile exactly.
-  ServeConfig config = Harness::slow_config();
+  ServeConfig config = slow_config();
   config.max_queue = 1000;
-  Harness harness(config);
+  LoopbackHarness harness(config);
   EsmClient client = harness.client(Protocol::esm1);
 
   const std::uint64_t slow =
@@ -375,10 +318,10 @@ TEST(OverloadTest, MaxInflightCapsAdmittedTotal) {
   // queued+inflight stays at 1000 for the entire round, so a pipelined
   // flood against a cap of 1001 finds at most a slot or two and the rest
   // sheds.
-  ServeConfig config = Harness::slow_config();
+  ServeConfig config = slow_config();
   config.max_batch = 1024;
   config.max_inflight = 1001;
-  Harness harness(config);
+  LoopbackHarness harness(config);
   EsmClient client = harness.client(Protocol::esm1);
 
   const std::uint64_t slow =
@@ -413,11 +356,11 @@ TEST(OverloadTest, SustainedPressureEntersDegradedMode) {
   // Queue cap 8 -> pressure threshold 4. A pinned batcher plus a full
   // queue holds depth >= 4 across many rounds, so the server must record
   // at least one degraded-mode entry, then recover (gauge back to 0).
-  ServeConfig config = Harness::make_config();
+  ServeConfig config = make_config();
   config.cache_capacity = 0;
   config.max_batch = 1;
   config.max_queue = 8;
-  Harness harness(config);
+  LoopbackHarness harness(config);
   EsmClient client = harness.client(Protocol::esm1);
 
   const std::string slow = batch_payload(600);
@@ -598,11 +541,11 @@ TEST(ClientRetryTest, RequestTimeoutWithoutRetryThrows) {
 TEST(ClientRetryTest, EndToEndRetryRidesOutShedding) {
   // Against a real overloaded server: queue cap 1 plus a pinned batcher
   // sheds most of a burst, but a retrying client converges to the answer.
-  ServeConfig config = Harness::make_config();
+  ServeConfig config = make_config();
   config.cache_capacity = 0;
   config.max_batch = 1;
   config.max_queue = 1;
-  Harness harness(config);
+  LoopbackHarness harness(config);
 
   // Saturate: a background client keeps the queue warm.
   std::atomic<bool> stop{false};
@@ -687,8 +630,8 @@ TEST(HedgedClientTest, AllReplicasDeadThrows) {
 TEST(HedgedClientTest, EndToEndAcrossTwoRealServers) {
   // Two independent servers from the same artifact: hedged calls must
   // serve the same values a direct client sees, whichever replica wins.
-  Harness primary;
-  Harness secondary;
+  LoopbackHarness primary(make_config());
+  LoopbackHarness secondary(make_config());
   HedgedClient client(
       {[&primary]() -> std::shared_ptr<ClientChannel> {
          return serve::loopback_channel(primary.listener->connect());

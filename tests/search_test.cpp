@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -31,13 +30,10 @@
 #include "nets/builder.hpp"
 #include "nets/sampler.hpp"
 #include "nets/supernet.hpp"
-#include "serve/client.hpp"
-#include "serve/event_loop.hpp"
 #include "serve/fleet.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
-#include "serve/server.hpp"
-#include "serve/transport.hpp"
+#include "serve_harness.hpp"
 #include "surrogate/gbdt_surrogate.hpp"
 #include "surrogate/predictor.hpp"
 #include "surrogate/registry.hpp"
@@ -54,10 +50,10 @@ using search::ScoredArch;
 using search::SearchEngine;
 using search::SearchOutcome;
 using serve::EsmClient;
-using serve::EventLoop;
-using serve::PredictionServer;
 using serve::Protocol;
 using serve::ServeConfig;
+using test::LoopbackHarness;
+using test::serve_config;
 
 // ------------------------------------------------------------- fixtures
 
@@ -340,16 +336,42 @@ TEST(SearchEngineTest, CancelCheckAbortsBetweenGenerations) {
 }
 
 TEST(SearchEngineTest, SampledAndMutatedArchsStayPerUnitUniform) {
-  SearchEngine engine(gpu_model().spec(), small_config());
-  Rng rng(11);
-  for (int i = 0; i < 50; ++i) {
-    ArchConfig arch = engine.sample(rng);
-    engine.mutate(arch, rng);
-    gpu_model().spec().validate(arch);
-    // format_arch_request throws on a non-uniform unit — the engine must
-    // never leave the wire-expressible subspace.
-    EXPECT_NO_THROW(search::format_arch_request(gpu_model().spec(), arch));
+  for (const SupernetSpec& spec :
+       {mobilenet_v3_spec(), resnet_spec(), densenet_spec()}) {
+    SearchEngine engine(spec, small_config());
+    Rng rng(11);
+    for (int i = 0; i < 50; ++i) {
+      ArchConfig arch = engine.sample(rng);
+      engine.mutate(arch, rng);
+      spec.validate(arch);
+      EXPECT_TRUE(spec.contains(arch)) << spec.name << " " << arch.to_string();
+      // format_arch_request throws on a non-uniform unit — the engine must
+      // never leave the wire-expressible subspace.
+      EXPECT_NO_THROW(search::format_arch_request(spec, arch)) << spec.name;
+    }
   }
+}
+
+TEST(SearchEngineTest, CrossoverTakesEachUnitFromOneParent) {
+  const SupernetSpec spec = resnet_spec();
+  SearchEngine engine(spec, small_config());
+  const ArchConfig a = serve::parse_arch_request(spec, "1:k3,1:k3,1:k3,1:k3");
+  const ArchConfig b = serve::parse_arch_request(spec, "7:k7,7:k7,7:k7,7:k7");
+  Rng rng(5);
+  std::size_t from_a = 0;
+  std::size_t from_b = 0;
+  for (int i = 0; i < 20; ++i) {
+    const ArchConfig child = engine.crossover(a, b, rng);
+    EXPECT_TRUE(spec.contains(child)) << child.to_string();
+    for (const UnitConfig& unit : child.units) {
+      EXPECT_TRUE(unit == a.units[0] || unit == b.units[0]);
+      from_a += unit == a.units[0];
+      from_b += unit == b.units[0];
+    }
+  }
+  // Both parents contribute: the crossover mixes, it does not copy one.
+  EXPECT_GT(from_a, 0u);
+  EXPECT_GT(from_b, 0u);
 }
 
 TEST(SearchEngineTest, ValidatesConfigAndObjectives) {
@@ -506,22 +528,12 @@ TEST(SearchWireTest, FrontPayloadListsFrontInOrder) {
 
 // ------------------------------------------------------------- served verb
 
-ServeConfig single_model_config(const std::string& path) {
-  ServeConfig config;
-  config.artifact_path = path;
-  return config;
-}
-
-std::string served_line(PredictionServer& server, const std::string& line) {
-  bool shutdown = false;
-  return server.handle_line(line, shutdown);
-}
-
 TEST(ServedSearchTest, MatchesOfflineEngineByteForByte) {
-  PredictionServer server(single_model_config(gpu_artifact()));
+  LoopbackHarness harness(serve_config(gpu_artifact()));
+  EsmClient client = harness.client();
   const std::string request =
       "search population=16 generations=4 seed=42 budget_ms=3.5";
-  const std::string reply = served_line(server, request);
+  const std::string reply = client.call_line(request).raw;
   ASSERT_EQ(reply.rfind("esm1 ok search ", 0), 0u) << reply;
 
   // The same search, offline, straight through the engine: identical bytes.
@@ -536,7 +548,7 @@ TEST(ServedSearchTest, MatchesOfflineEngineByteForByte) {
                 search::format_front_payload(gpu_model().spec(),
                                              parsed.config, outcome));
   // And the verb is repeatable: seeded searches are pure functions.
-  EXPECT_EQ(served_line(server, request), reply);
+  EXPECT_EQ(client.call_line(request).raw, reply);
 }
 
 TEST(ServedSearchTest, FleetRoutedMultiModelSearch) {
@@ -550,71 +562,58 @@ TEST(ServedSearchTest, FleetRoutedMultiModelSearch) {
   const std::string manifest_path = dir + "/fleet.esmf";
   serve::write_manifest_atomic(manifest, manifest_path);
 
-  PredictionServer server(single_model_config(manifest_path));
-  const std::string reply = served_line(
-      server, "search population=16 generations=3 seed=7 models=gpu,edge");
+  LoopbackHarness harness(serve_config(manifest_path));
+  EsmClient client = harness.client();
+  const std::string reply =
+      client.call_line("search population=16 generations=3 seed=7 "
+                       "models=gpu,edge")
+          .raw;
   ASSERT_EQ(reply.rfind("esm1 ok search ", 0), 0u) << reply;
   EXPECT_NE(reply.find(" feasible=1"), std::string::npos) << reply;
 
   const std::string unknown =
-      served_line(server, "search models=tpu population=4 generations=1");
+      client.call_line("search models=tpu population=4 generations=1").raw;
   EXPECT_EQ(unknown.rfind("esm1 err unknown_model ", 0), 0u) << unknown;
 }
 
 TEST(ServedSearchTest, RejectsBadRequestsAndOversizedBudgets) {
-  ServeConfig config = single_model_config(gpu_artifact());
+  ServeConfig config = serve_config(gpu_artifact());
   config.max_search_evals = 100;
-  PredictionServer server(config);
-  const std::string bad = served_line(server, "search frobnicate=1");
+  LoopbackHarness harness(config);
+  EsmClient client = harness.client();
+  const std::string bad = client.call_line("search frobnicate=1").raw;
   EXPECT_EQ(bad.rfind("esm1 err bad_request ", 0), 0u) << bad;
   const std::string huge =
-      served_line(server, "search population=100 generations=10");
+      client.call_line("search population=100 generations=10").raw;
   EXPECT_EQ(huge.rfind("esm1 err bad_request ", 0), 0u) << huge;
   EXPECT_NE(huge.find("budget"), std::string::npos) << huge;
   // At the cap is admitted: population x (generations + 1) == 100.
   const std::string ok =
-      served_line(server, "search population=20 generations=4 seed=1");
+      client.call_line("search population=20 generations=4 seed=1").raw;
   EXPECT_EQ(ok.rfind("esm1 ok search ", 0), 0u) << ok;
 }
 
 TEST(ServedSearchTest, BothProtocolsReturnIdenticalPayloads) {
-  PredictionServer server(single_model_config(gpu_artifact()));
-  EventLoop loop(server);
-  auto listener = serve::make_loopback_listener();
-  loop.add_listener(listener);
-  std::thread reactor([&] { loop.run(); });
-
+  LoopbackHarness harness(serve_config(gpu_artifact()));
   const std::string request = "population=12 generations=3 seed=5";
-  EsmClient esm1(serve::loopback_channel(listener->connect()),
-                 Protocol::esm1);
-  EsmClient esm2(serve::loopback_channel(listener->connect()),
-                 Protocol::esm2);
+  EsmClient esm1 = harness.client(Protocol::esm1);
+  EsmClient esm2 = harness.client(Protocol::esm2);
   const std::string payload1 = esm1.search(request);
   const std::string payload2 = esm2.search(request);
   EXPECT_EQ(payload1, payload2);
   EXPECT_NE(payload1.find(" front="), std::string::npos);
-
-  loop.request_stop();
-  reactor.join();
-  server.request_stop();
-  server.wait();
 }
 
 TEST(ServedSearchTest, ShedsWhenSearchQueueIsFull) {
-  ServeConfig config = single_model_config(slow_artifact());
+  ServeConfig config = serve_config(slow_artifact());
   config.max_search_queue = 1;
-  PredictionServer server(config);
-  EventLoop loop(server);
-  auto listener = serve::make_loopback_listener();
-  loop.add_listener(listener);
-  std::thread reactor([&] { loop.run(); });
+  LoopbackHarness harness(config);
 
   // Pipeline two searches: the first is admitted (and keeps the worker
   // busy on the slow model), so the second finds the admitted-but-
   // unanswered total at the cap wherever the race lands and is shed with
   // the retryable `overloaded` code.
-  EsmClient client(serve::loopback_channel(listener->connect()),
-                   Protocol::esm2);
+  EsmClient client = harness.client(Protocol::esm2);
   const std::uint64_t first =
       client.submit("search", "population=64 generations=6 seed=1");
   const std::uint64_t second =
@@ -624,43 +623,41 @@ TEST(ServedSearchTest, ShedsWhenSearchQueueIsFull) {
   EXPECT_EQ(shed.verb_or_code, "overloaded") << shed.raw;
   const EsmClient::Response served = client.await(first);
   EXPECT_TRUE(served.ok) << served.raw;
-
-  loop.request_stop();
-  reactor.join();
-  server.request_stop();
-  server.wait();
 }
 
 TEST(ServedSearchTest, ExpiredDeadlineAnswersDeadlineExceeded) {
-  PredictionServer server(single_model_config(slow_artifact()));
+  LoopbackHarness harness(serve_config(slow_artifact()));
+  EsmClient client = harness.client();
   // 1 ms against a search that needs hundreds: the deadline passes at
   // admission, at dequeue, or between generations — whichever fires, the
   // answer is deadline_exceeded and the search never completes.
-  const std::string reply = served_line(
-      server, "search deadline=1 population=512 generations=50 seed=1");
+  const std::string reply =
+      client
+          .call_line("search deadline=1 population=512 generations=50 seed=1")
+          .raw;
   EXPECT_EQ(reply.rfind("esm1 err deadline_exceeded ", 0), 0u) << reply;
 }
 
 // ----------------------------------------------------------------- metrics
 
 TEST(ServedSearchTest, MetricsIdentityHoldsWithSearchesInTheMix) {
-  PredictionServer server(single_model_config(gpu_artifact()));
-  EXPECT_EQ(
-      served_line(server, "predict 3,5,2,7").rfind("esm1 ok predict ", 0), 0u);
-  EXPECT_EQ(
-      served_line(server, "predict 3,5,2,7").rfind("esm1 ok predict ", 0),
-      0u);  // cache hit
+  LoopbackHarness harness(serve_config(gpu_artifact()));
+  EsmClient client = harness.client();
+  const std::string miss = client.call_line("predict 3,5,2,7").raw;
+  const std::string hit = client.call_line("predict 3,5,2,7").raw;
+  EXPECT_EQ(miss.rfind("esm1 ok predict ", 0), 0u) << miss;
+  EXPECT_EQ(hit.rfind("esm1 ok predict ", 0), 0u) << hit;
   const std::string ok1 =
-      served_line(server, "search population=8 generations=2 seed=1");
+      client.call_line("search population=8 generations=2 seed=1").raw;
   const std::string ok2 =
-      served_line(server, "search population=8 generations=3 seed=2");
+      client.call_line("search population=8 generations=3 seed=2").raw;
   ASSERT_EQ(ok1.rfind("esm1 ok search ", 0), 0u);
   ASSERT_EQ(ok2.rfind("esm1 ok search ", 0), 0u);
-  EXPECT_EQ(served_line(server, "search mode=warp")
+  EXPECT_EQ(client.call_line("search mode=warp").raw
                 .rfind("esm1 err bad_request ", 0),
             0u);
 
-  const serve::MetricsSnapshot m = server.metrics();
+  const serve::MetricsSnapshot m = harness.server.metrics();
   EXPECT_EQ(m.requests, m.hits + m.misses + m.errors);
   EXPECT_EQ(m.requests, 5u);
   EXPECT_EQ(m.hits, 1u);
@@ -674,7 +671,7 @@ TEST(ServedSearchTest, MetricsIdentityHoldsWithSearchesInTheMix) {
   EXPECT_EQ(m.batched_archs, m.arch_misses);
   EXPECT_EQ(m.archs, 2u);
 
-  const std::string stats = served_line(server, "stats");
+  const std::string stats = client.call_line("stats").raw;
   EXPECT_NE(stats.find(" searches=2"), std::string::npos) << stats;
   EXPECT_NE(stats.find(" search_evals=56"), std::string::npos) << stats;
 }
