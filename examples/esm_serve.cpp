@@ -4,7 +4,7 @@
 //   esm_serve model.esm [--port N] [--port-file PATH] [--cache N]
 //             [--max-batch N] [--summary-s SEC] [--threads N]
 //             [--idle-timeout-s SEC] [--backend epoll|poll]
-//             [--max-queue N] [--max-inflight N] [--deadline-ms N]
+//             [--max-inflight N] [--deadline-ms N]
 //             [--max-searches N] [--chaos PROFILE] [--chaos-seed N]
 //   esm_serve --manifest fleet/manifest.esmf [...]
 //   Serves a single `.esm` artifact or a whole fleet manifest (`esm_cli
@@ -21,12 +21,12 @@
 //   request already on the wire is answered before exit; a final stats
 //   summary goes to stderr.
 //
-//   Overload safety (PR 9): --max-queue / --max-inflight bound the
-//   admission queue (excess requests are shed immediately with the
-//   retryable `overloaded` error), --deadline-ms stamps a default
-//   per-request deadline onto requests that carry none (expired requests
-//   answer `deadline_exceeded` without spending a predict slot), and
-//   --chaos wraps the listener in the deterministic fault-injection
+//   Overload safety: --max-inflight caps the cache-miss predictions
+//   admitted but not yet answered (a request that would pass it is shed
+//   immediately with the retryable `overloaded` error), --deadline-ms
+//   stamps a default per-request deadline onto requests that carry none
+//   (expired requests answer `deadline_exceeded` without spending a
+//   predict slot), and --chaos wraps the listener in the deterministic fault-injection
 //   decorator of src/serve/chaos.hpp (a preset name like "mild"/"harsh"
 //   or key=value rates, seeded by --chaos-seed) for soak testing.
 //
@@ -88,7 +88,6 @@ int run_server(const esm::ArgParser& args) {
   config.cache_capacity = static_cast<std::size_t>(args.get_int("cache"));
   config.max_batch = static_cast<std::size_t>(args.get_int("max-batch"));
   config.summary_period_s = args.get_double("summary-s");
-  config.max_queue = static_cast<std::size_t>(args.get_int("max-queue"));
   config.max_inflight =
       static_cast<std::size_t>(args.get_int("max-inflight"));
   config.default_deadline_ms =
@@ -275,12 +274,10 @@ int main(int argc, char** argv) {
   args.add_string("backend", "epoll",
                   "reactor backend: epoll (falls back to poll off Linux) "
                   "or poll");
-  args.add_int("max-queue", 0,
-               "admission queue bound; excess requests are shed with the "
-               "retryable `overloaded` error (0 = unbounded)");
   args.add_int("max-inflight", 0,
-               "cap on queued + dispatching entries before shedding "
-               "(0 = unbounded)");
+               "cap on admitted, unanswered cache-miss predictions; a "
+               "request past it is shed with the retryable `overloaded` "
+               "error (0 = unbounded)");
   args.add_int("deadline-ms", 0,
                "default per-request deadline in ms for requests that carry "
                "none; expired requests answer `deadline_exceeded` "

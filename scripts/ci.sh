@@ -12,7 +12,7 @@
 #                         thread, zero drops, stats reconciled), then the
 #                         overload + chaos smoke (the PR-9 headline pin:
 #                         10k connections under seeded transport chaos with
-#                         the admission queue capped, retry converging to
+#                         admission capped (max_inflight), retry converging to
 #                         100% goodput — plus an esm_serve run with --chaos
 #                         and a --retries client riding out the injected
 #                         faults), then a fleet smoke
@@ -139,8 +139,8 @@ echo "event-loop C10K smoke test passed"
 
 echo "== overload + chaos smoke test =="
 # The PR-9 headline pin straight from the suite: 10k mixed-protocol
-# connections under seeded transport chaos with the admission queue capped
-# well below the offered load. Every request must resolve correctly or
+# connections under seeded transport chaos with admission (max_inflight)
+# capped well below the offered load. Every request must resolve correctly or
 # with the structured retryable `overloaded` error, client retries must
 # converge to 100% goodput, and the stats identities must reconcile.
 build/tests/chaos_test \
@@ -148,11 +148,11 @@ build/tests/chaos_test \
   || { echo "overload + chaos C10K smoke FAILED"; exit 1; }
 # The same story through the shipped binary: serve under an injected-fault
 # transport (--chaos mild fragments and stalls but preserves every byte)
-# with a tight admission queue, and drive it with the retrying client.
+# with a tight admission cap, and drive it with the retrying client.
 # The prediction must match the calm-transport esm1 value exactly.
 build/examples/esm_serve "$SMOKE_DIR/serve.esm" --port 0 \
   --port-file "$SMOKE_DIR/chaos_port" --summary-s 0 \
-  --chaos mild --chaos-seed 7 --max-queue 64 >/dev/null 2>&1 &
+  --chaos mild --chaos-seed 7 --max-inflight 64 >/dev/null 2>&1 &
 CHAOS_PID=$!
 for _ in $(seq 1 100); do
   [ -s "$SMOKE_DIR/chaos_port" ] && break

@@ -30,9 +30,10 @@ struct RetryPolicy {
   /// drawn uniformly from [-1, 1) off a seeded substream.
   double backoff_jitter = 0.25;
 
-  /// Maximum extra attempts spent per measure_batch() call across all
-  /// architectures; once exhausted, failing measurements are dropped for
-  /// the session and the batch degrades gracefully.
+  /// Maximum extra attempts spent per measure_batch() call (or per
+  /// baseline session) across all architectures; once exhausted, failing
+  /// measurements are not retried for the rest of that call and the batch
+  /// degrades gracefully.
   int batch_retry_budget = 256;
 
   /// Throws esm::ConfigError on non-positive attempts/budget or negative

@@ -245,11 +245,19 @@ struct EventLoop::Impl {
     [[maybe_unused]] const ssize_t n = ::write(wake_write_fd, &byte, 1);
   }
 
+  /// Empties the pipe first, then re-arms wake(). A wake() between the
+  /// two skips its write, but the work it posted is picked up anyway:
+  /// posted work is swapped out after this returns. Clearing the flag
+  /// first instead could swallow a byte written by a wake() landing in
+  /// between, leaving the flag set over an empty pipe and every later
+  /// wake() a no-op until the next tick.
   void drain_wake_pipe() {
-    wake_pending.store(false, std::memory_order_release);
     char buf[256];
     while (::read(wake_read_fd, buf, sizeof(buf)) > 0) {
     }
+    // An RMW, so it reads (and synchronizes with) the last wake()'s
+    // exchange: work that wake() posted is visible to the swap that follows.
+    wake_pending.exchange(false, std::memory_order_acq_rel);
   }
 
   // ---- connection lifecycle ----------------------------------------------

@@ -178,8 +178,7 @@ void write_manifest_atomic(const FleetManifest& manifest,
 
 std::shared_ptr<const ModelFleet> ModelFleet::load(
     const std::string& manifest_path, const ModelFleet* previous,
-    std::uint64_t& generation_counter, std::size_t cache_capacity,
-    std::size_t cache_shards) {
+    std::uint64_t& generation_counter, std::size_t cache_capacity) {
   const std::string manifest_bytes = read_file(manifest_path,
                                                "fleet manifest");
   const FleetManifest manifest =
@@ -230,8 +229,7 @@ std::shared_ptr<const ModelFleet> ModelFleet::load(
     } catch (const std::exception& e) {
       throw ConfigError("manifest entry '" + entry.name + "': " + e.what());
     }
-    loaded.cache =
-        std::make_shared<PredictionCache>(cache_capacity, cache_shards);
+    loaded.cache = std::make_shared<PredictionCache>(cache_capacity);
     fleet->models_.push_back(std::move(loaded));
   }
   generation_counter = next_generation;
@@ -243,8 +241,7 @@ std::shared_ptr<const ModelFleet> ModelFleet::single(
     const std::string& name, const std::string& artifact_path,
     const std::string& crc32_hex,
     std::shared_ptr<const TrainableSurrogate> model,
-    std::uint64_t& generation_counter, std::size_t cache_capacity,
-    std::size_t cache_shards) {
+    std::uint64_t& generation_counter, std::size_t cache_capacity) {
   ESM_REQUIRE(valid_model_name(name),
               "invalid model name '" << name << "'");
   auto fleet = std::shared_ptr<ModelFleet>(new ModelFleet());
@@ -256,8 +253,7 @@ std::shared_ptr<const ModelFleet> ModelFleet::single(
   loaded.crc32_hex = crc32_hex;
   loaded.generation = ++generation_counter;
   loaded.model = std::move(model);
-  loaded.cache =
-      std::make_shared<PredictionCache>(cache_capacity, cache_shards);
+  loaded.cache = std::make_shared<PredictionCache>(cache_capacity);
   fleet->models_.push_back(std::move(loaded));
   fleet->default_index_ = 0;
   return fleet;

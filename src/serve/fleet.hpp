@@ -128,8 +128,7 @@ class ModelFleet {
   /// other entry gets a fresh generation from `generation_counter`.
   static std::shared_ptr<const ModelFleet> load(
       const std::string& manifest_path, const ModelFleet* previous,
-      std::uint64_t& generation_counter, std::size_t cache_capacity,
-      std::size_t cache_shards);
+      std::uint64_t& generation_counter, std::size_t cache_capacity);
 
   /// A one-model fleet around an already-loaded artifact (single-artifact
   /// serving, the PR-5 mode). The model is named `name` and is the default.
@@ -137,8 +136,7 @@ class ModelFleet {
       const std::string& name, const std::string& artifact_path,
       const std::string& crc32_hex,
       std::shared_ptr<const TrainableSurrogate> model,
-      std::uint64_t& generation_counter, std::size_t cache_capacity,
-      std::size_t cache_shards);
+      std::uint64_t& generation_counter, std::size_t cache_capacity);
 
   /// The model named `name`, or nullptr.
   const FleetModel* find(const std::string& name) const;

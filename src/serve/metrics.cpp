@@ -81,32 +81,23 @@ ModelMetrics* ServerMetrics::model_section(const std::string& name) {
 
 void ServerMetrics::count_predict_line(bool all_from_cache,
                                        ModelMetrics* model) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  (all_from_cache ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
   model->requests_.fetch_add(1, std::memory_order_relaxed);
   (all_from_cache ? model->hits_ : model->misses_)
       .fetch_add(1, std::memory_order_relaxed);
 }
 
 void ServerMetrics::count_predict_error(ModelMetrics* model, ErrorKind kind) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  errors_.fetch_add(1, std::memory_order_relaxed);
   model->requests_.fetch_add(1, std::memory_order_relaxed);
   model->errors_.fetch_add(1, std::memory_order_relaxed);
   if (kind == ErrorKind::shed) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
     model->shed_.fetch_add(1, std::memory_order_relaxed);
   } else if (kind == ErrorKind::expired) {
-    expired_.fetch_add(1, std::memory_order_relaxed);
     model->expired_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 void ServerMetrics::count_archs(std::uint64_t hits, std::uint64_t misses,
                                 ModelMetrics* model) {
-  archs_.fetch_add(hits + misses, std::memory_order_relaxed);
-  arch_hits_.fetch_add(hits, std::memory_order_relaxed);
-  arch_misses_.fetch_add(misses, std::memory_order_relaxed);
   model->archs_.fetch_add(hits + misses, std::memory_order_relaxed);
   model->arch_hits_.fetch_add(hits, std::memory_order_relaxed);
   model->arch_misses_.fetch_add(misses, std::memory_order_relaxed);
@@ -136,13 +127,6 @@ void ServerMetrics::count_search(std::uint64_t evaluations) {
   search_evals_.fetch_add(evaluations, std::memory_order_relaxed);
 }
 
-void ServerMetrics::set_degraded(bool degraded) {
-  if (degraded_.exchange(degraded, std::memory_order_relaxed) != degraded &&
-      degraded) {
-    degraded_entries_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 void ServerMetrics::record_latency_us(double us) { latency_.record_us(us); }
 
 void ServerMetrics::set_artifact(const std::string& path,
@@ -160,18 +144,6 @@ void ServerMetrics::set_artifact(const std::string& path,
 
 MetricsSnapshot ServerMetrics::snapshot() const {
   MetricsSnapshot snap;
-  snap.requests = requests_.load(std::memory_order_relaxed);
-  snap.hits = hits_.load(std::memory_order_relaxed);
-  snap.misses = misses_.load(std::memory_order_relaxed);
-  snap.errors = errors_.load(std::memory_order_relaxed);
-  snap.shed = shed_.load(std::memory_order_relaxed);
-  snap.expired = expired_.load(std::memory_order_relaxed);
-  snap.degraded = degraded_.load(std::memory_order_relaxed) ? 1 : 0;
-  snap.degraded_entries =
-      degraded_entries_.load(std::memory_order_relaxed);
-  snap.archs = archs_.load(std::memory_order_relaxed);
-  snap.arch_hits = arch_hits_.load(std::memory_order_relaxed);
-  snap.arch_misses = arch_misses_.load(std::memory_order_relaxed);
   snap.control_requests = control_requests_.load(std::memory_order_relaxed);
   snap.control_errors = control_errors_.load(std::memory_order_relaxed);
   snap.batches = batches_.load(std::memory_order_relaxed);
@@ -201,6 +173,19 @@ MetricsSnapshot ServerMetrics::snapshot() const {
       snap.per_model.emplace_back(name, section->snapshot());
     }
   }
+  // Fleet-wide totals are derived from the sections just read, so they
+  // reconcile with them in every snapshot.
+  for (const auto& [name, c] : snap.per_model) {
+    snap.requests += c.requests;
+    snap.hits += c.hits;
+    snap.misses += c.misses;
+    snap.errors += c.errors;
+    snap.shed += c.shed;
+    snap.expired += c.expired;
+    snap.archs += c.archs;
+    snap.arch_hits += c.arch_hits;
+    snap.arch_misses += c.arch_misses;
+  }
   return snap;
 }
 
@@ -209,8 +194,6 @@ std::string ServerMetrics::stats_payload(const MetricsSnapshot& snap) {
   os << "requests=" << snap.requests << " hits=" << snap.hits
      << " misses=" << snap.misses << " errors=" << snap.errors
      << " shed=" << snap.shed << " expired=" << snap.expired
-     << " degraded=" << snap.degraded
-     << " degraded_entries=" << snap.degraded_entries
      << " archs=" << snap.archs << " arch_hits=" << snap.arch_hits
      << " arch_misses=" << snap.arch_misses
      << " control_requests=" << snap.control_requests

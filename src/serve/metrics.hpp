@@ -15,21 +15,20 @@
 // reload, shutdown, unknown) are tallied separately in control_requests /
 // control_errors and never disturb the prediction identity.
 //
-// Overload extension of the contract (PR 9): `shed` counts prediction
-// lines answered `overloaded` (admission control turned them away) and
-// `expired` counts lines answered `deadline_exceeded`; both are subsets of
-// `errors` recorded by the same single increment, so shed + expired <=
-// errors and the requests identity is untouched. `degraded` is a 0/1 gauge
-// (the batcher is currently shrinking its batch cap under sustained queue
-// pressure) and `degraded_entries` counts transitions into that mode.
+// Overload extension of the contract: `shed` counts prediction lines
+// answered `overloaded` (admission control turned them away) and `expired`
+// counts lines answered `deadline_exceeded`; both are subsets of `errors`
+// recorded by the same single increment, so shed + expired <= errors and
+// the requests identity is untouched.
 //
 // Fleet extension of the contract: every prediction-line increment is
-// attributed to exactly one per-model section at the same time — the model
-// the request routed to, or the reserved "_unrouted" section when routing
-// itself failed (unknown model name) — so each fleet-wide total equals the
-// sum of that counter over all per-model sections, exactly. Sections are
-// never dropped (a model removed by reload keeps its section), otherwise
-// the sums would stop reconciling mid-flight.
+// recorded in exactly one per-model section — the model the request routed
+// to, or the reserved "_unrouted" section when routing itself failed
+// (unknown model name) — and the fleet-wide prediction totals are not
+// counted separately: snapshot() sums them over the sections it read, so
+// each total equals the sum of its `model.<name>.*` counters in every
+// snapshot, mid-flight included. Sections are never dropped (a model
+// removed by reload keeps its section), so totals never shrink.
 #pragma once
 
 #include <array>
@@ -101,7 +100,8 @@ class ModelMetrics {
   std::atomic<std::uint64_t> arch_misses_{0};
 };
 
-/// One coherent read of every counter plus derived fields.
+/// One read of every counter plus derived fields. The prediction-line
+/// totals (requests through arch_misses) are the sums of `per_model`.
 struct MetricsSnapshot {
   std::uint64_t requests = 0;  ///< predict + predict_batch lines
   std::uint64_t hits = 0;      ///< lines answered entirely from cache
@@ -109,8 +109,6 @@ struct MetricsSnapshot {
   std::uint64_t errors = 0;    ///< lines answered with a structured error
   std::uint64_t shed = 0;      ///< of errors: admission control (overloaded)
   std::uint64_t expired = 0;   ///< of errors: deadline_exceeded
-  std::uint64_t degraded = 0;  ///< 0/1: batcher currently in degraded mode
-  std::uint64_t degraded_entries = 0;  ///< transitions into degraded mode
   std::uint64_t archs = 0;     ///< individual architectures priced
   std::uint64_t arch_hits = 0;
   std::uint64_t arch_misses = 0;
@@ -132,8 +130,7 @@ struct MetricsSnapshot {
   std::string encoder;
   std::string space;
   /// Per-model sections, sorted by name; includes "_unrouted" and models
-  /// no longer in the fleet. Summing any counter over sections yields the
-  /// matching fleet-wide total exactly.
+  /// no longer in the fleet. The fleet-wide totals above are their sums.
   std::vector<std::pair<std::string, ModelCounters>> per_model;
 };
 
@@ -145,15 +142,13 @@ class ServerMetrics {
 
   /// The per-model section for `name`, created on first use; the returned
   /// pointer stays valid for the metrics object's lifetime. Sections are
-  /// never removed, so summed per-model counters always reconcile with the
-  /// fleet-wide totals.
+  /// never removed, so the fleet-wide totals summed from them never
+  /// shrink.
   ModelMetrics* model_section(const std::string& name);
 
   /// Classifies one predict/predict_batch line; exactly one of hit, miss,
-  /// or (via count_predict_error) error per line. `model` attributes the
-  /// same increment to a per-model section (never null — routing failures
-  /// use the "_unrouted" section), keeping totals and section sums equal
-  /// by construction.
+  /// or (via count_predict_error) error per line, recorded in `model`'s
+  /// section (never null — routing failures use the "_unrouted" section).
   void count_predict_line(bool all_from_cache, ModelMetrics* model);
 
   /// How a prediction line came to be an error: `shed` (admission control
@@ -185,10 +180,6 @@ class ServerMetrics {
   /// batched_archs tracks the batcher only).
   void count_search(std::uint64_t evaluations);
 
-  /// Tracks the batcher's degraded mode: set_degraded(true) on entry (also
-  /// counts the transition), set_degraded(false) on recovery. Idempotent.
-  void set_degraded(bool degraded);
-
   /// Records end-to-end service time of one request line.
   void record_latency_us(double us);
 
@@ -206,17 +197,6 @@ class ServerMetrics {
   static std::string summary_line(const MetricsSnapshot& snap);
 
  private:
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> expired_{0};
-  std::atomic<bool> degraded_{false};
-  std::atomic<std::uint64_t> degraded_entries_{0};
-  std::atomic<std::uint64_t> archs_{0};
-  std::atomic<std::uint64_t> arch_hits_{0};
-  std::atomic<std::uint64_t> arch_misses_{0};
   std::atomic<std::uint64_t> control_requests_{0};
   std::atomic<std::uint64_t> control_errors_{0};
   std::atomic<std::uint64_t> batches_{0};

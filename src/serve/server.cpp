@@ -33,18 +33,46 @@ Reply error_reply(ErrorCode code, std::string detail) {
   return reply;
 }
 
-// Internal signals travelling through the (value, exception_ptr) completion
-// callbacks; the completion catch chains map them to their wire error code
-// and metrics ErrorKind.
+// Internal signals travelling as exception_ptr from admission, the
+// batcher and the search worker to answer_error, which maps them to their
+// wire error code and metrics ErrorKind.
 struct OverloadedError : std::runtime_error {
-  OverloadedError()
-      : std::runtime_error("server overloaded: admission queue full") {}
+  explicit OverloadedError(
+      const char* what = "server overloaded: admission queue full")
+      : std::runtime_error(what) {}
 };
 
 struct DeadlineExceededError : std::runtime_error {
   DeadlineExceededError()
       : std::runtime_error("deadline passed before the request was served") {}
 };
+
+struct WireError {
+  ErrorCode code;
+  ServerMetrics::ErrorKind kind;
+  std::string message;
+};
+
+/// The one failure-to-wire mapping of prediction and search lines.
+WireError classify_failure(std::exception_ptr error, ErrorCode config_code) {
+  using Kind = ServerMetrics::ErrorKind;
+  try {
+    std::rethrow_exception(error);
+  } catch (const OverloadedError& e) {
+    return {ErrorCode::overloaded, Kind::shed, e.what()};
+  } catch (const DeadlineExceededError& e) {
+    return {ErrorCode::deadline_exceeded, Kind::expired, e.what()};
+  } catch (const search::SearchCancelled&) {
+    return {ErrorCode::deadline_exceeded, Kind::expired,
+            DeadlineExceededError().what()};
+  } catch (const ConfigError& e) {
+    return {config_code, Kind::other, e.what()};
+  } catch (const std::exception& e) {
+    return {ErrorCode::server_error, Kind::other, e.what()};
+  } catch (...) {
+    return {ErrorCode::server_error, Kind::other, "unknown failure"};
+  }
+}
 
 bool deadline_passed(Clock::time_point deadline, Clock::time_point now) {
   return deadline != Clock::time_point::max() && now >= deadline;
@@ -82,12 +110,11 @@ void PredictionServer::install_source(const std::string& path) {
   std::shared_ptr<const ModelFleet> next;
   if (FleetManifest::looks_like_manifest(bytes)) {
     next = ModelFleet::load(path, previous.get(), generation_counter_,
-                            config_.cache_capacity, config_.cache_shards);
+                            config_.cache_capacity);
   } else {
     next = ModelFleet::single("default", path, crc32_hex(crc32(bytes)),
-                              load_surrogate(path, bytes),
-                              generation_counter_, config_.cache_capacity,
-                              config_.cache_shards);
+                              load_surrogate(path, bytes), generation_counter_,
+                              config_.cache_capacity);
   }
   {
     std::lock_guard<std::mutex> lock(fleet_mutex_);
@@ -179,11 +206,8 @@ void PredictionServer::dispatch_request(const ParsedRequest& request,
                              "architectures"));
       return;
     }
-    if (request.verb == "predict") {
-      handle_predict(payload, deadline, std::move(done));
-    } else {
-      handle_predict_batch(payload, deadline, std::move(done));
-    }
+    handle_predict(request.verb == "predict_batch", payload, deadline,
+                   std::move(done));
     return;
   }
   if (request.verb == "info") {
@@ -234,80 +258,21 @@ void PredictionServer::dispatch_request(const ParsedRequest& request,
                        "stats, reload, shutdown)"));
 }
 
-void PredictionServer::handle_predict(
-    const std::string& payload, std::chrono::steady_clock::time_point deadline,
-    ReplyCallback done) {
-  const RoutedPayload routed = split_model_key(payload);
-  const std::shared_ptr<const ModelFleet> fleet = current_fleet();
-  const FleetModel* model = routed.model.empty()
-                                ? &fleet->default_model()
-                                : fleet->find(routed.model);
-  if (model == nullptr) {
-    metrics_.count_predict_error(metrics_.model_section(kUnroutedSection));
-    done(error_reply(ErrorCode::unknown_model,
-                     "unknown model '" + routed.model +
-                         "' (see the models verb)"));
-    return;
-  }
-  ModelMetrics* section = metrics_.model_section(model->name);
-  ArchConfig arch;
-  try {
-    arch = parse_arch_request(model->model->spec(), routed.rest);
-  } catch (const ConfigError& e) {
-    metrics_.count_predict_error(section);
-    done(error_reply(ErrorCode::bad_arch, e.what()));
-    return;
-  }
-  // Admission-time expiry: a dead-on-arrival request must not take a cache
-  // or batch slot from live ones.
-  if (deadline_passed(deadline, Clock::now())) {
-    metrics_.count_predict_error(section, ServerMetrics::ErrorKind::expired);
-    done(error_reply(ErrorCode::deadline_exceeded,
-                     DeadlineExceededError().what()));
-    return;
-  }
-  const std::string key =
-      std::to_string(model->generation) + '|' + arch.to_string();
-  if (const std::optional<double> hit = model->cache->get(key)) {
-    metrics_.count_archs(1, 0, section);
-    metrics_.count_predict_line(true, section);
-    done(ok_reply("predict", format_latency(*hit)));
-    return;
-  }
-  metrics_.count_archs(0, 1, section);
-  enqueue(std::move(arch), std::shared_ptr<const FleetModel>(fleet, model),
-          deadline,
-          [this, section, key, cache = model->cache,
-           done = std::move(done)](double value, std::exception_ptr error) {
-            if (error == nullptr) {
-              cache->put(key, value);
-              metrics_.count_predict_line(false, section);
-              done(ok_reply("predict", format_latency(value)));
-              return;
-            }
-            try {
-              std::rethrow_exception(error);
-            } catch (const OverloadedError& e) {
-              metrics_.count_predict_error(
-                  section, ServerMetrics::ErrorKind::shed);
-              done(error_reply(ErrorCode::overloaded, e.what()));
-            } catch (const DeadlineExceededError& e) {
-              metrics_.count_predict_error(
-                  section, ServerMetrics::ErrorKind::expired);
-              done(error_reply(ErrorCode::deadline_exceeded, e.what()));
-            } catch (const ConfigError& e) {
-              metrics_.count_predict_error(section);
-              done(error_reply(ErrorCode::bad_arch, e.what()));
-            } catch (const std::exception& e) {
-              metrics_.count_predict_error(section);
-              done(error_reply(ErrorCode::server_error, e.what()));
-            }
-          });
-}
+struct PredictionServer::PredictJoin {
+  bool batch = false;
+  std::vector<double> values;
+  ModelMetrics* section = nullptr;
+  ReplyCallback done;
+  /// Misses not yet resolved; acq_rel, so the thread resolving the last
+  /// one observes every other slot write.
+  std::atomic<std::size_t> remaining{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;  ///< first failure; guarded by error_mutex
+};
 
-void PredictionServer::handle_predict_batch(
-    const std::string& payload, std::chrono::steady_clock::time_point deadline,
-    ReplyCallback done) {
+void PredictionServer::handle_predict(
+    bool batch, const std::string& payload,
+    std::chrono::steady_clock::time_point deadline, ReplyCallback done) {
   const RoutedPayload routed = split_model_key(payload);
   const std::shared_ptr<const ModelFleet> fleet = current_fleet();
   const FleetModel* model = routed.model.empty()
@@ -323,117 +288,93 @@ void PredictionServer::handle_predict_batch(
   ModelMetrics* section = metrics_.model_section(model->name);
   std::vector<ArchConfig> archs;
   try {
-    archs = parse_arch_batch(model->model->spec(), routed.rest,
-                             config_.max_batch_archs);
-  } catch (const ConfigError& e) {
-    metrics_.count_predict_error(section);
-    done(error_reply(ErrorCode::bad_arch, e.what()));
+    if (batch) {
+      archs = parse_arch_batch(model->model->spec(), routed.rest,
+                               config_.max_batch_archs);
+    } else {
+      archs.push_back(parse_arch_request(model->model->spec(), routed.rest));
+    }
+  } catch (const ConfigError&) {
+    answer_error(section, std::current_exception(), ErrorCode::bad_arch, done);
     return;
   }
+  // Admission-time expiry: a dead-on-arrival request must not take a cache
+  // or batch slot from live ones.
   if (deadline_passed(deadline, Clock::now())) {
-    metrics_.count_predict_error(section, ServerMetrics::ErrorKind::expired);
-    done(error_reply(ErrorCode::deadline_exceeded,
-                     DeadlineExceededError().what()));
+    answer_error(section, std::make_exception_ptr(DeadlineExceededError()),
+                 ErrorCode::bad_arch, done);
     return;
   }
 
-  // Join state shared by the per-miss completions. Each completion writes
-  // its own slot, so the only cross-thread coordination is the remaining
-  // counter (acq_rel: the finalizing thread observes every slot write) and
-  // the error mutex.
-  struct BatchJoin {
-    std::vector<double> values;
-    ModelMetrics* section = nullptr;
-    std::shared_ptr<PredictionCache> cache;
-    ReplyCallback done;
-    std::atomic<std::size_t> remaining{0};
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
-  };
-
-  auto join = std::make_shared<BatchJoin>();
+  auto join = std::make_shared<PredictJoin>();
+  join->batch = batch;
   join->values.assign(archs.size(), 0.0);
   join->section = section;
-  join->cache = model->cache;
   join->done = std::move(done);
-
-  struct Miss {
-    std::size_t index;
-    std::string key;
-    ArchConfig arch;
-  };
-  std::vector<Miss> misses;
-  std::uint64_t hit_count = 0;
+  std::vector<Pending> misses;
   for (std::size_t i = 0; i < archs.size(); ++i) {
     std::string key =
         std::to_string(model->generation) + '|' + archs[i].to_string();
     if (const std::optional<double> hit = model->cache->get(key)) {
       join->values[i] = *hit;
-      ++hit_count;
-    } else {
-      misses.push_back(Miss{i, std::move(key), std::move(archs[i])});
+      continue;
     }
+    Pending& miss = misses.emplace_back();
+    miss.arch = std::move(archs[i]);
+    miss.model = std::shared_ptr<const FleetModel>(fleet, model);
+    miss.deadline = deadline;
+    miss.join = join;
+    miss.index = i;
+    miss.key = std::move(key);
   }
-  metrics_.count_archs(hit_count, misses.size(), section);
-
-  auto finalize = [this](BatchJoin& state) {
-    if (state.first_error != nullptr) {
-      try {
-        std::rethrow_exception(state.first_error);
-      } catch (const OverloadedError& e) {
-        metrics_.count_predict_error(state.section,
-                                     ServerMetrics::ErrorKind::shed);
-        state.done(error_reply(ErrorCode::overloaded, e.what()));
-      } catch (const DeadlineExceededError& e) {
-        metrics_.count_predict_error(state.section,
-                                     ServerMetrics::ErrorKind::expired);
-        state.done(error_reply(ErrorCode::deadline_exceeded, e.what()));
-      } catch (const ConfigError& e) {
-        metrics_.count_predict_error(state.section);
-        state.done(error_reply(ErrorCode::bad_arch, e.what()));
-      } catch (const std::exception& e) {
-        metrics_.count_predict_error(state.section);
-        state.done(error_reply(ErrorCode::server_error, e.what()));
-      }
-      return;
-    }
-    metrics_.count_predict_line(false, state.section);
-    std::ostringstream os;
-    os << state.values.size();
-    for (double v : state.values) os << ' ' << format_latency(v);
-    state.done(ok_reply("predict_batch", os.str()));
-  };
-
+  metrics_.count_archs(archs.size() - misses.size(), misses.size(), section);
   if (misses.empty()) {
-    metrics_.count_predict_line(true, section);
-    std::ostringstream os;
-    os << join->values.size();
-    for (double v : join->values) os << ' ' << format_latency(v);
-    join->done(ok_reply("predict_batch", os.str()));
+    finish(*join, /*all_from_cache=*/true);
     return;
   }
-
-  // The counter must reach its full value before any completion can fire,
-  // so every miss is enqueued only after `remaining` is set.
+  // The counter reaches its full value before any miss can resolve.
   join->remaining.store(misses.size(), std::memory_order_relaxed);
-  for (Miss& miss : misses) {
-    enqueue(std::move(miss.arch),
-            std::shared_ptr<const FleetModel>(fleet, model), deadline,
-            [join, finalize, index = miss.index, key = std::move(miss.key)](
-                double value, std::exception_ptr error) {
-              if (error == nullptr) {
-                join->values[index] = value;
-                join->cache->put(key, value);
-              } else {
-                std::lock_guard<std::mutex> lock(join->error_mutex);
-                if (join->first_error == nullptr) join->first_error = error;
-              }
-              if (join->remaining.fetch_sub(1, std::memory_order_acq_rel) ==
-                  1) {
-                finalize(*join);
-              }
-            });
+  enqueue(std::move(misses));
+}
+
+void PredictionServer::resolve(Pending& entry, double value,
+                               std::exception_ptr error) {
+  PredictJoin& join = *entry.join;
+  if (error == nullptr) {
+    join.values[entry.index] = value;
+    entry.model->cache->put(entry.key, value);
+  } else {
+    std::lock_guard<std::mutex> lock(join.error_mutex);
+    if (join.error == nullptr) join.error = error;
   }
+  if (join.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    finish(join, /*all_from_cache=*/false);
+  }
+}
+
+void PredictionServer::finish(PredictJoin& join, bool all_from_cache) {
+  if (join.error != nullptr) {
+    answer_error(join.section, join.error, ErrorCode::bad_arch, join.done);
+    return;
+  }
+  metrics_.count_predict_line(all_from_cache, join.section);
+  if (!join.batch) {
+    join.done(ok_reply("predict", format_latency(join.values.front())));
+    return;
+  }
+  std::ostringstream os;
+  os << join.values.size();
+  for (double v : join.values) os << ' ' << format_latency(v);
+  join.done(ok_reply("predict_batch", os.str()));
+}
+
+void PredictionServer::answer_error(ModelMetrics* section,
+                                    std::exception_ptr error,
+                                    ErrorCode config_code,
+                                    const ReplyCallback& done) {
+  const WireError wire = classify_failure(std::move(error), config_code);
+  metrics_.count_predict_error(section, wire.kind);
+  done(error_reply(wire.code, wire.message));
 }
 
 void PredictionServer::handle_search(
@@ -445,9 +386,9 @@ void PredictionServer::handle_search(
   search::SearchRequest request;
   try {
     request = search::parse_search_request(payload);
-  } catch (const ConfigError& e) {
-    metrics_.count_predict_error(metrics_.model_section(kUnroutedSection));
-    done(error_reply(ErrorCode::bad_request, e.what()));
+  } catch (const ConfigError&) {
+    answer_error(metrics_.model_section(kUnroutedSection),
+                 std::current_exception(), ErrorCode::bad_request, done);
     return;
   }
   const std::shared_ptr<const ModelFleet> fleet = current_fleet();
@@ -500,17 +441,16 @@ void PredictionServer::handle_search(
     // happens here so the requester gets bad_request inline, not a
     // server_error from the worker.
     search::SearchEngine(job.models.front()->model->spec(), request.config);
-  } catch (const ConfigError& e) {
-    metrics_.count_predict_error(job.section);
-    done(error_reply(ErrorCode::bad_request, e.what()));
+  } catch (const ConfigError&) {
+    answer_error(job.section, std::current_exception(),
+                 ErrorCode::bad_request, done);
     return;
   }
   // Admission-time expiry, same rule as predictions.
   if (deadline_passed(deadline, Clock::now())) {
-    metrics_.count_predict_error(job.section,
-                                 ServerMetrics::ErrorKind::expired);
-    done(error_reply(ErrorCode::deadline_exceeded,
-                     DeadlineExceededError().what()));
+    answer_error(job.section,
+                 std::make_exception_ptr(DeadlineExceededError()),
+                 ErrorCode::bad_request, done);
     return;
   }
   job.done = std::move(done);
@@ -525,9 +465,10 @@ void PredictionServer::handle_search(
     }
   }
   if (shed) {
-    metrics_.count_predict_error(job.section, ServerMetrics::ErrorKind::shed);
-    job.done(error_reply(ErrorCode::overloaded,
-                         "server overloaded: search queue full"));
+    answer_error(job.section,
+                 std::make_exception_ptr(
+                     OverloadedError("server overloaded: search queue full")),
+                 ErrorCode::bad_request, job.done);
     return;
   }
   search_cv_.notify_one();
@@ -574,21 +515,9 @@ void PredictionServer::search_loop() {
       metrics_.count_predict_line(false, job.section);
       job.done(ok_reply(
           "search", search::format_front_payload(spec, job.config, outcome)));
-    } catch (const search::SearchCancelled&) {
-      metrics_.count_predict_error(job.section,
-                                   ServerMetrics::ErrorKind::expired);
-      job.done(error_reply(ErrorCode::deadline_exceeded,
-                           DeadlineExceededError().what()));
-    } catch (const DeadlineExceededError& e) {
-      metrics_.count_predict_error(job.section,
-                                   ServerMetrics::ErrorKind::expired);
-      job.done(error_reply(ErrorCode::deadline_exceeded, e.what()));
-    } catch (const ConfigError& e) {
-      metrics_.count_predict_error(job.section);
-      job.done(error_reply(ErrorCode::bad_request, e.what()));
-    } catch (const std::exception& e) {
-      metrics_.count_predict_error(job.section);
-      job.done(error_reply(ErrorCode::server_error, e.what()));
+    } catch (...) {
+      answer_error(job.section, std::current_exception(),
+                   ErrorCode::bad_request, job.done);
     }
     {
       std::lock_guard<std::mutex> lock(search_mutex_);
@@ -673,80 +602,41 @@ Reply PredictionServer::handle_reload(const std::string& path) {
                       std::to_string(def.generation) + " source=" + path);
 }
 
-void PredictionServer::enqueue(
-    ArchConfig arch, std::shared_ptr<const FleetModel> model,
-    std::chrono::steady_clock::time_point deadline,
-    std::function<void(double, std::exception_ptr)> done) {
-  Pending pending;
-  pending.arch = std::move(arch);
-  pending.model = std::move(model);
-  pending.deadline = deadline;
-  pending.done = std::move(done);
-  bool shed = false;
+void PredictionServer::enqueue(std::vector<Pending> misses) {
+  bool admitted = false;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     // Admission control: shed instead of queueing unboundedly. The caller
-    // gets the rejection inline (never a stall), and nothing was admitted,
-    // so the drain guarantee ("every admitted entry is answered") holds.
-    const bool queue_full =
-        config_.max_queue != 0 && queue_.size() >= config_.max_queue;
-    const bool inflight_full =
-        config_.max_inflight != 0 &&
-        queue_.size() + inflight_ >= config_.max_inflight;
-    if (queue_full || inflight_full) {
-      shed = true;
-    } else {
-      queue_.push_back(std::move(pending));
+    // gets the rejection inline (never a stall), and nothing of the line
+    // was admitted, so the drain guarantee ("every admitted entry is
+    // answered") holds and a shed line costs the batcher nothing.
+    admitted = config_.max_inflight == 0 ||
+               queue_.size() + inflight_ + misses.size() <=
+                   config_.max_inflight;
+    if (admitted) {
+      for (Pending& miss : misses) queue_.push_back(std::move(miss));
     }
   }
-  if (shed) {
-    pending.done(0.0, std::make_exception_ptr(OverloadedError()));
+  if (!admitted) {
+    PredictJoin& join = *misses.front().join;
+    join.error = std::make_exception_ptr(OverloadedError());
+    finish(join, /*all_from_cache=*/false);
     return;
   }
   queue_cv_.notify_one();
 }
 
 void PredictionServer::batcher_loop() {
-  // Degraded mode: under sustained queue pressure the dispatch cap halves,
-  // so rounds turn around faster and deadline checks run more often; the
-  // mode lifts once the queue falls well below the pressure threshold.
-  const std::size_t pressure_threshold =
-      config_.max_queue > 0
-          ? std::max<std::size_t>(1, config_.max_queue / 2)
-          : config_.max_batch * 2;
-  constexpr std::size_t kPressureRoundsToDegrade = 4;
-  std::size_t pressure_rounds = 0;
-  bool degraded = false;
   for (;;) {
     std::vector<Pending> drained;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_cv_.wait(lock,
                      [this] { return !queue_.empty() || batcher_stop_; });
-      if (queue_.empty()) {
-        // Stop requested and queue drained.
-        if (degraded) metrics_.set_degraded(false);
-        return;
-      }
-      const std::size_t depth = queue_.size();
-      if (depth >= pressure_threshold) {
-        if (++pressure_rounds >= kPressureRoundsToDegrade && !degraded) {
-          degraded = true;
-          metrics_.set_degraded(true);
-        }
-      } else {
-        pressure_rounds = 0;
-        if (degraded && depth <= pressure_threshold / 2) {
-          degraded = false;
-          metrics_.set_degraded(false);
-        }
-      }
-      const std::size_t batch_cap =
-          degraded ? std::max<std::size_t>(1, config_.max_batch / 2)
-                   : config_.max_batch;
+      if (queue_.empty()) return;  // stop requested and queue drained
       // Everything that accumulated while the previous round was in
-      // flight coalesces into this round (bounded by the round's cap).
-      const std::size_t n = std::min(depth, batch_cap);
+      // flight coalesces into this round (bounded by max_batch).
+      const std::size_t n = std::min(queue_.size(), config_.max_batch);
       drained.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
         drained.push_back(std::move(queue_.front()));
@@ -761,8 +651,8 @@ void PredictionServer::batcher_loop() {
     for (std::size_t i = 0; i < drained.size(); ++i) {
       if (deadline_passed(drained[i].deadline, now)) {
         expired[i] = 1;
-        drained[i].done(0.0,
-                        std::make_exception_ptr(DeadlineExceededError()));
+        resolve(drained[i], 0.0,
+                std::make_exception_ptr(DeadlineExceededError()));
       }
     }
     // Group by model: each group is one predict_all dispatch against the
@@ -791,7 +681,7 @@ void PredictionServer::batcher_loop() {
       try {
         const std::vector<double> values = model->model->predict_all(archs);
         for (std::size_t k = 0; k < indices.size(); ++k) {
-          drained[indices[k]].done(values[k], nullptr);
+          resolve(drained[indices[k]], values[k], nullptr);
         }
       } catch (...) {
         // Per-arch fallback: one failing architecture (e.g. a layer a
@@ -806,7 +696,7 @@ void PredictionServer::batcher_loop() {
           } catch (...) {
             error = std::current_exception();
           }
-          p.done(value, error);
+          resolve(p, value, error);
         }
       }
     }

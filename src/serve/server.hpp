@@ -13,7 +13,10 @@
 //     request plus a completion callback. Cache hits, control verbs, and
 //     errors complete inline on the calling thread; predictions that miss
 //     park on the shared pending queue and complete from the batcher
-//     thread. The epoll event loop posts completions back to its reactor,
+//     thread. `predict` is the one-arch case of `predict_batch`: both
+//     take one admission path, and a line's misses are admitted whole or
+//     shed whole (ServeConfig::max_inflight, answered `overloaded`
+//     inline). The epoll event loop posts completions back to its reactor,
 //     so thousands of connections share one I/O thread and the server
 //     starts no thread per connection.
 //   - one batcher thread drains the pending queue: whatever accumulated
@@ -47,6 +50,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -73,19 +77,17 @@ struct ServeConfig {
   /// or a bare surrogate artifact, distinguished by content.
   std::string artifact_path;
   std::size_t cache_capacity = 4096;    ///< per model; 0 disables caching
-  std::size_t cache_shards = 8;
   std::size_t max_line_bytes = 64 * 1024;  ///< longer request lines error
   std::size_t max_batch = 64;           ///< pending drained per dispatch round
   std::size_t max_batch_archs = 1024;   ///< archs per predict_batch request
   double summary_period_s = 0.0;        ///< >0: periodic stderr summary
 
-  // Overload protection (PR 9). All three default off, which keeps the
-  // pre-overload behaviour (and wire bytes) exactly.
-  /// Cap on the pending-prediction queue; a miss arriving at the cap is
-  /// answered `overloaded` immediately instead of waiting. 0 = unbounded.
-  std::size_t max_queue = 0;
-  /// Cap on predictions admitted but not yet answered (queued plus the
-  /// batch currently dispatching); misses beyond it shed. 0 = unbounded.
+  // Overload protection. Both default off, which keeps the pre-overload
+  // behaviour (and wire bytes) exactly.
+  /// Cap on cache-miss predictions admitted but not yet answered (queued
+  /// plus the round dispatching). A prediction line is admitted whole or
+  /// answered `overloaded` whole, immediately; a predict_batch with more
+  /// misses than the cap always sheds. 0 = unbounded.
   std::size_t max_inflight = 0;
   /// Deadline applied to prediction requests that carry none of their own
   /// (esm2 v2 header field or esm1 "deadline=<ms>" token). 0 = none.
@@ -154,18 +156,24 @@ class PredictionServer {
                       ReplyCallback done);
 
  private:
-  /// One prediction waiting for the batcher. `done` is invoked from the
-  /// batcher thread with the value, or with the per-arch failure.
+  /// Join state of one admitted predict/predict_batch line (defined in
+  /// server.cpp): its values in request order and the misses still owed.
+  struct PredictJoin;
+
+  /// One cache miss waiting for the batcher, which resolves it into its
+  /// line's join.
   struct Pending {
     ArchConfig arch;
     /// Aliased into the fleet snapshot the request was routed against;
-    /// keeps that fleet (and its caches) alive until `done` resolves.
+    /// keeps that fleet (and its caches) alive until the entry resolves.
     std::shared_ptr<const FleetModel> model;
     /// Absolute deadline; max() = none. The batcher answers entries whose
     /// deadline passed with deadline_exceeded instead of predicting them.
     std::chrono::steady_clock::time_point deadline =
         std::chrono::steady_clock::time_point::max();
-    std::function<void(double value, std::exception_ptr error)> done;
+    std::shared_ptr<PredictJoin> join;
+    std::size_t index = 0;  ///< slot in the join's values
+    std::string key;        ///< cache key the computed value goes under
   };
 
   /// One admitted NAS search waiting for (or running on) the search
@@ -186,7 +194,11 @@ class PredictionServer {
   void dispatch_request(const ParsedRequest& request, std::size_t wire_bytes,
                         ReplyCallback& done);
 
-  void handle_predict(const std::string& payload,
+  /// The one admission path of prediction lines: `predict` is the
+  /// one-arch case of `predict_batch` (`batch` picks the parser and the
+  /// reply rendering, nothing else). Routes, expires at admission, answers
+  /// hits from the cache, and admits the misses to the batcher.
+  void handle_predict(bool batch, const std::string& payload,
                       std::chrono::steady_clock::time_point deadline,
                       ReplyCallback done);
   /// Validates and admits one `search` request; the reply completes from
@@ -196,20 +208,30 @@ class PredictionServer {
   void handle_search(const std::string& payload,
                      std::chrono::steady_clock::time_point deadline,
                      ReplyCallback done);
-  void handle_predict_batch(const std::string& payload,
-                            std::chrono::steady_clock::time_point deadline,
-                            ReplyCallback done);
   Reply handle_info(const std::string& payload);
   Reply handle_models();
   Reply handle_stats();
   Reply handle_reload(const std::string& path);
 
-  /// Queues one architecture for the batcher against `model`; `done` is
-  /// invoked from the batcher thread — or inline with an OverloadedError
-  /// when admission control sheds the entry (queue or in-flight cap hit).
-  void enqueue(ArchConfig arch, std::shared_ptr<const FleetModel> model,
-               std::chrono::steady_clock::time_point deadline,
-               std::function<void(double, std::exception_ptr)> done);
+  /// Admits one line's misses to the batcher under one lock, or — when
+  /// they would push the admitted total past max_inflight — sheds the
+  /// whole line inline with `overloaded`, queueing none of them.
+  void enqueue(std::vector<Pending> misses);
+
+  /// Records one miss's value (or failure) in its join; the last one
+  /// answers the line.
+  void resolve(Pending& entry, double value, std::exception_ptr error);
+
+  /// Counts and answers a joined line: its first failure, or the values
+  /// rendered for its verb (a hit when `all_from_cache`, else a miss).
+  void finish(PredictJoin& join, bool all_from_cache);
+
+  /// Counts one failed prediction or search line against `section` and
+  /// answers it through the one failure-to-wire mapping; `config_code` is
+  /// what an esm::ConfigError maps to (bad_arch for predictions,
+  /// bad_request for searches).
+  void answer_error(ModelMetrics* section, std::exception_ptr error,
+                    ErrorCode config_code, const ReplyCallback& done);
 
   void batcher_loop();
   void search_loop();

@@ -257,7 +257,7 @@ TEST(ChaosTest, TenThousandConnectionsUnderChaosAndOverloadConverge) {
       offline_predictions(artifact(), pool);
 
   ServeConfig config = make_config();
-  config.max_queue = 64;  // offered load far above this admission cap
+  config.max_inflight = 64;  // offered load far above this admission cap
   LoopbackHarness harness(config, {}, serve::chaos_profile_by_name("mild"),
                           0x5eed);
 
@@ -274,8 +274,8 @@ TEST(ChaosTest, TenThousandConnectionsUnderChaosAndOverloadConverge) {
       clients.reserve(end - begin);
       sent.resize(end - begin);
       // Phase 1: every connection pipelines its requests before anything
-      // is awaited — the full offered load hits the admission queue at
-      // once, far above max_queue.
+      // is awaited — the full offered load hits admission at once, far
+      // above max_inflight.
       for (std::size_t c = begin; c < end; ++c) {
         clients.emplace_back(
             serve::loopback_channel(harness.listener->connect()),

@@ -5,8 +5,9 @@
 // with out-of-order completion matched by request id, strict esm1
 // response ordering, the malformed-frame rejection matrix at the
 // connection level, backpressure (pause/resume and the slow-client drop),
-// idle timeouts, drain semantics (every request on the wire answered,
-// partial trailing bytes discarded), the poll(2) backend, a real-TCP
+// idle timeouts, no lost reactor wake-ups under concurrent posting, drain
+// semantics (every request on the wire answered, partial trailing bytes
+// discarded), the poll(2) backend, a real-TCP
 // smoke, and the headline pin: 10,000 concurrent fd-less connections,
 // zero drops, every response bit-identical to offline predict_all, stats
 // reconciling exactly.
@@ -14,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -188,14 +190,15 @@ TEST(EventLoopTest, MixedProtocolsShareOneListenerConcurrently) {
 }
 
 TEST(EventLoopTest, Esm2CompletesOutOfOrderMatchedById) {
-  // Request 1 is a 64-arch batch routed through the batcher thread;
-  // request 2 is a control verb answered inline during the same parse
-  // pass, so over esm2 the inline answer normally overtakes the slow one
-  // on the wire. The scheduler can still let the batcher win a round
-  // (this box has one core), so the overtake is asserted across
-  // attempts, while the id<->verb matching must hold on every one.
+  // Request 1 is a 64-arch batch routed through the batcher thread, one
+  // arch per dispatch round; request 2 is a control verb answered inline
+  // during the same parse pass, so over esm2 the inline answer normally
+  // overtakes the slow one on the wire. The scheduler can still let the
+  // batcher win (on one core, or under load), so the overtake is asserted
+  // across attempts, while the id<->verb matching must hold on every one.
   ServeConfig config = make_config();
   config.cache_capacity = 0;  // keep the batch a miss on every attempt
+  config.max_batch = 1;
   LoopbackHarness harness(config);
   std::string batch;
   const std::vector<std::string> pool = arch_pool(64);
@@ -420,21 +423,14 @@ TEST(EventLoopTest, Esm1HoldBackQueueIsCapped) {
   // dropped instead of buffering without bound.
   EventLoopConfig loop_config;
   loop_config.max_held_responses = 4;
-  ServeConfig config = make_config();
-  config.cache_capacity = 0;
-  LoopbackHarness harness(config, loop_config);
+  LoopbackHarness harness(make_config(), loop_config);
   std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
 
-  // Head of line: a heavy uncached batch that pins seq 0 in the batcher
-  // for milliseconds. The `models` replies complete inline on the reactor
-  // thread, so they pile up behind it immediately.
-  const std::vector<std::string> pool = arch_pool(1000);
-  std::string burst = "predict_batch ";
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (i > 0) burst += ';';
-    burst += pool[i];
-  }
-  burst += '\n';
+  // Head of line: a NAS search of a few thousand evaluations pins seq 0
+  // on the search worker for far longer than the burst takes to parse.
+  // The `models` replies complete inline on the reactor thread, so they
+  // pile up behind it immediately.
+  std::string burst = "search population=64 generations=40\n";
   for (int i = 0; i < 50; ++i) burst += "models\n";
   ASSERT_TRUE(channel->send(burst));
 
@@ -537,6 +533,53 @@ TEST(EventLoopTest, IdleConnectionIsReaped) {
   }
   EXPECT_EQ(harness.loop.stats().dropped, 1u);
   EXPECT_EQ(harness.loop.stats().active, 0u);
+}
+
+TEST(EventLoopTest, ConcurrentWakesNeverWaitForTheTick) {
+  // Completions and readiness are posted to the reactor from many threads
+  // at once: the batcher answers every miss (the cache is off) while eight
+  // clients' pipelined sends wake the loop through their readiness
+  // notifiers. No wake-up may be lost — a lost one parks its completion
+  // until the next tick — so with a one-second tick the slowest round of
+  // requests must stay far below it.
+  ServeConfig config = make_config();
+  config.cache_capacity = 0;
+  EventLoopConfig loop_config;
+  loop_config.tick_ms = 1000;
+  LoopbackHarness harness(config, loop_config);
+  constexpr int kClients = 8;
+  constexpr int kRounds = 300;
+  constexpr int kWindow = 8;
+  const std::vector<std::string> pool = arch_pool(97);
+
+  std::vector<double> worst_ms(kClients, 0.0);
+  std::vector<std::thread> threads;
+  threads.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      EsmClient client = harness.client(c % 2 == 0 ? Protocol::esm1
+                                                   : Protocol::esm2);
+      std::vector<std::uint64_t> ids(kWindow);
+      double& worst = worst_ms[static_cast<std::size_t>(c)];
+      for (int r = 0; r < kRounds; ++r) {
+        const auto start = std::chrono::steady_clock::now();
+        for (int w = 0; w < kWindow; ++w) {
+          ids[static_cast<std::size_t>(w)] = client.submit(
+              "predict",
+              pool[static_cast<std::size_t>(c * 13 + r * kWindow + w) %
+                   pool.size()]);
+        }
+        for (const std::uint64_t id : ids) client.await(id);
+        worst = std::max(worst, std::chrono::duration<double, std::milli>(
+                                    std::chrono::steady_clock::now() - start)
+                                    .count());
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const double worst = *std::max_element(worst_ms.begin(), worst_ms.end());
+  EXPECT_LT(worst, loop_config.tick_ms / 4.0)
+      << "a completion waited for the reactor tick";
 }
 
 TEST(EventLoopTest, DrainAnswersEverythingOnTheWire) {

@@ -243,8 +243,7 @@ TEST(ModelFleetTest, LoadFailuresNameTheEntryAndDrawNoGenerations) {
     std::uint64_t generation_counter = 7;
     expect_throw_mentioning(
         [&] {
-          serve::ModelFleet::load(manifest, nullptr, generation_counter, 16,
-                                  1);
+          serve::ModelFleet::load(manifest, nullptr, generation_counter, 16);
         },
         entry, manifest);
     // All-or-nothing: a failed load draws nothing from the counter.
@@ -263,7 +262,7 @@ TEST(ModelFleetTest, ResolvesRelativePathsAgainstTheManifestDirectory) {
   std::uint64_t generation_counter = 0;
   const std::shared_ptr<const serve::ModelFleet> fleet =
       serve::ModelFleet::load(dir + "/manifest.esmf", nullptr,
-                              generation_counter, 16, 1);
+                              generation_counter, 16);
   ASSERT_NE(fleet->find("a"), nullptr);
   EXPECT_EQ(fleet->find("a")->artifact_path, dir + "/a.esm");
   EXPECT_EQ(fleet->default_model().name, "a");
@@ -285,7 +284,7 @@ TEST(ModelFleetTest, CarryOverKeepsModelGenerationAndCacheWhenUnchanged) {
   serve::write_manifest_atomic(first, path);
   std::uint64_t generation_counter = 0;
   const std::shared_ptr<const serve::ModelFleet> fleet1 =
-      serve::ModelFleet::load(path, nullptr, generation_counter, 16, 1);
+      serve::ModelFleet::load(path, nullptr, generation_counter, 16);
   EXPECT_EQ(fleet1->find("a")->generation, 1u);
   EXPECT_EQ(fleet1->find("b")->generation, 2u);
   fleet1->find("a")->cache->put("warm", 42.0);
@@ -295,7 +294,7 @@ TEST(ModelFleetTest, CarryOverKeepsModelGenerationAndCacheWhenUnchanged) {
   second.upsert({"b", serve::file_crc32_hex(v2), v2});
   serve::write_manifest_atomic(second, path);
   const std::shared_ptr<const serve::ModelFleet> fleet2 =
-      serve::ModelFleet::load(path, fleet1.get(), generation_counter, 16, 1);
+      serve::ModelFleet::load(path, fleet1.get(), generation_counter, 16);
 
   // Unchanged entry: same loaded instance, generation, and warm cache.
   EXPECT_EQ(fleet2->find("a")->generation, 1u);
@@ -370,7 +369,7 @@ TEST(PipelineTest, PublishesGatedModelsIntoOneLoadableManifest) {
   std::uint64_t generation_counter = 0;
   const std::shared_ptr<const serve::ModelFleet> fleet =
       serve::ModelFleet::load(first.manifest_path, nullptr,
-                              generation_counter, 16, 1);
+                              generation_counter, 16);
   ASSERT_EQ(fleet->models().size(), 2u);
   const ArchConfig arch =
       serve::parse_arch_request(fleet->find("edge")->model->spec(),

@@ -10,9 +10,12 @@
 // routed predictions bit-identical to each model's offline predict_all),
 // per-model stats that sum exactly to the fleet-wide totals, all-or-nothing
 // reload that keeps the old fleet on a corrupt artifact, and warm-cache
-// carry-over for unchanged models.
+// carry-over for unchanged models. The `stats` payload bytes are pinned
+// over a fixed snapshot, and the fleet totals reconcile with the per-model
+// sections in every snapshot taken under load.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -252,6 +255,70 @@ TEST(LatencyHistogramTest, PercentilesAreOrderedAndCounted) {
   EXPECT_GT(p50, 0.0);
   EXPECT_LE(p50, p95);
   EXPECT_LE(p95, p99);
+}
+
+TEST(ServerMetricsTest, StatsPayloadBytesArePinned) {
+  // The `stats` wire bytes over a fixed snapshot: key order, number
+  // formatting and the per-model sections. The fleet-wide totals are set
+  // by hand here, so this pins rendering only, not their derivation.
+  serve::MetricsSnapshot snap;
+  snap.requests = 21;
+  snap.hits = 5;
+  snap.misses = 12;
+  snap.errors = 4;
+  snap.shed = 2;
+  snap.expired = 1;
+  snap.archs = 40;
+  snap.arch_hits = 15;
+  snap.arch_misses = 25;
+  snap.control_requests = 7;
+  snap.control_errors = 3;
+  snap.batches = 9;
+  snap.batched_archs = 25;
+  snap.max_batch = 6;
+  snap.reloads = 2;
+  snap.searches = 1;
+  snap.search_evals = 448;
+  snap.p50_us = 64;
+  snap.p95_us = 1024;
+  snap.p99_us = 2048;
+  snap.uptime_s = 12.3456;
+  snap.artifact = "/models/a.esm";
+  snap.artifact_crc32 = "0badf00d";
+  snap.kind = "gbdt";
+  snap.encoder = "fcc";
+  snap.space = "resnet";
+  serve::ModelCounters unrouted;
+  unrouted.requests = 1;
+  unrouted.errors = 1;
+  serve::ModelCounters alpha;
+  alpha.requests = 20;
+  alpha.hits = 5;
+  alpha.misses = 12;
+  alpha.errors = 3;
+  alpha.shed = 2;
+  alpha.expired = 1;
+  alpha.archs = 40;
+  alpha.arch_hits = 15;
+  alpha.arch_misses = 25;
+  snap.per_model = {{"_unrouted", unrouted}, {"alpha", alpha}};
+
+  EXPECT_EQ(
+      serve::ServerMetrics::stats_payload(snap),
+      "requests=21 hits=5 misses=12 errors=4 shed=2 expired=1 archs=40 "
+      "arch_hits=15 arch_misses=25 control_requests=7 control_errors=3 "
+      "batches=9 batched_archs=25 max_batch=6 reloads=2 searches=1 "
+      "search_evals=448 p50_us=64 p95_us=1024 p99_us=2048 uptime_s=12.346 "
+      "kind=gbdt artifact_crc32=0badf00d artifact=/models/a.esm "
+      "model._unrouted.requests=1 model._unrouted.hits=0 "
+      "model._unrouted.misses=0 model._unrouted.errors=1 "
+      "model._unrouted.shed=0 model._unrouted.expired=0 "
+      "model._unrouted.archs=0 model._unrouted.arch_hits=0 "
+      "model._unrouted.arch_misses=0 "
+      "model.alpha.requests=20 model.alpha.hits=5 model.alpha.misses=12 "
+      "model.alpha.errors=3 model.alpha.shed=2 model.alpha.expired=1 "
+      "model.alpha.archs=40 model.alpha.arch_hits=15 "
+      "model.alpha.arch_misses=25");
 }
 
 // ------------------------------------------------------------ the server
@@ -647,6 +714,65 @@ TEST(FleetServeTest, ThreeModelRoutedPredictionsBitIdenticalToOffline) {
             static_cast<std::uint64_t>(kClients * kPerClient / 3));
   EXPECT_EQ(stat(stats, "model.charlie.requests"),
             static_cast<std::uint64_t>(kClients * kPerClient / 3));
+}
+
+TEST(FleetServeTest, TotalsEqualSectionSumsInEverySnapshotUnderLoad) {
+  // The fleet-wide prediction totals are derived from the per-model
+  // sections, so they reconcile in every snapshot — also one taken while
+  // eight clients are mid-flight, not only once the load is quiescent.
+  const std::string manifest = write_fleet_manifest(
+      "fleet_snapshots.esmf", {{"alpha", artifact_a()}, {"bravo", artifact_b()}});
+  const std::vector<std::string> pool = arch_pool(97);
+  LoopbackHarness harness(serve_config(manifest));
+  constexpr int kClients = 8;
+  constexpr int kPerClient = 300;
+  static const char* kRoutes[3] = {"alpha", "bravo", "nosuchmodel"};
+
+  std::atomic<int> running{kClients};
+  std::vector<std::thread> threads;
+  threads.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      EsmClient client = harness.client(c % 2 == 0 ? serve::Protocol::esm1
+                                                   : serve::Protocol::esm2);
+      // Routed hits and misses, batches, and unknown-model errors (the
+      // "_unrouted" section) all move the totals while snapshots are taken.
+      for (int i = 0; i < kPerClient; ++i) {
+        const std::string& arch =
+            pool[(static_cast<std::size_t>(c) * 31 +
+                  static_cast<std::size_t>(i) * 7) %
+                 pool.size()];
+        const std::string route = kRoutes[(c + i) % 3];
+        client.call(i % 5 == 0 ? "predict_batch" : "predict",
+                    route + " " + arch + (i % 5 == 0 ? ";" + arch : ""));
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  EsmClient observer = harness.client();
+  static const char* kCounters[] = {"requests", "hits",  "misses",
+                                    "errors",   "shed",  "expired",
+                                    "archs",    "arch_hits", "arch_misses"};
+  int snapshots = 0;
+  std::uint64_t max_requests_seen = 0;
+  do {
+    const std::map<std::string, std::string> stats = observer.stats();
+    ++snapshots;
+    for (const char* counter : kCounters) {
+      ASSERT_EQ(model_stat_sum(stats, counter), stat(stats, counter))
+          << counter << " in snapshot " << snapshots;
+    }
+    max_requests_seen = std::max(max_requests_seen, stat(stats, "requests"));
+  } while (running.load(std::memory_order_acquire) > 0);
+  for (std::thread& t : threads) t.join();
+
+  const std::map<std::string, std::string> stats = observer.stats();
+  EXPECT_EQ(stat(stats, "requests"),
+            static_cast<std::uint64_t>(kClients * kPerClient));
+  EXPECT_EQ(stat(stats, "model._unrouted.requests"),
+            static_cast<std::uint64_t>(kClients * kPerClient / 3));
+  EXPECT_GT(snapshots, 1);
+  EXPECT_GT(max_requests_seen, 0u);
 }
 
 TEST(FleetServeTest, KeylessRequestsRouteToTheDefaultModel) {
