@@ -50,17 +50,7 @@ int main(int argc, char** argv) {
   for (int b = 0; b < batches; ++b) {
     const BatchResult batch =
         generator.measure_batch(sampler.sample_n(batch_size, rng));
-    totals.requested += batch.report.requested;
-    totals.measured += batch.report.measured;
-    totals.quarantined += batch.report.quarantined;
-    totals.skipped_quarantined += batch.report.skipped_quarantined;
-    totals.sessions += batch.report.sessions;
-    totals.retries += batch.report.retries;
-    totals.timeouts += batch.report.timeouts;
-    totals.device_losses += batch.report.device_losses;
-    totals.read_errors += batch.report.read_errors;
-    totals.cost_seconds += batch.report.cost_seconds;
-    totals.backoff_seconds += batch.report.backoff_seconds;
+    totals.add(batch.report);
   }
 
   // Histogram of reference deviations across all sessions (all attempts'

@@ -41,14 +41,18 @@
 //             producing a byte-identical --out CSV. Exit codes: 0 all
 //             measured, 2 shortfall, 3 resumed-and-complete.
 //   pipeline  measure -> train -> gate -> publish in one crash-safe
-//             command: journaled measurement campaigns (auto-resumed from
-//             <manifest-dir>/.pipeline/), deterministic training, the
-//             Acc_TH gate, and an atomic publish of <name>.esm plus the
-//             fleet manifest esm_serve serves from. Rerunning after a
-//             kill at ANY stage converges to a byte-identical published
-//             manifest; a model failing the gate is never published.
-//             Exit codes: 0 published, 2 gate failed, 3 resumed-and-
-//             published.
+//             command: the journaled train-evaluate-extend campaign that
+//             `train` runs (same flags, plus --n-test, --fault-profile,
+//             --retries and --threads), auto-resumed from
+//             <manifest-dir>/.pipeline/<name>.journal, then the Acc_TH
+//             gate (the campaign must converge within --max-iters) and an
+//             atomic publish of <name>.esm plus the fleet manifest
+//             esm_serve serves from. Rerunning after a kill at ANY stage
+//             converges to a byte-identical published manifest; a model
+//             failing the gate is never published. A rerun whose changed
+//             loop inputs (--acc-th, --n-step) request a batch the
+//             journal answered differently is refused. Exit codes: 0
+//             published, 2 gate failed, 3 resumed-and-published.
 //
 // Examples:
 //   esm_cli train --surrogate gbdt --encoder fcc -o /tmp/m.esm
@@ -125,12 +129,9 @@ void print_predictions(const esm::LatencyPredictor& predictor,
   table.print(std::cout);
 }
 
-int run_train(const esm::ArgParser& args) {
-  const esm::DeviceSpec device_spec =
-      esm::device_by_name(args.get_string("device"));
-  esm::SimulatedDevice device(device_spec,
-                              static_cast<std::uint64_t>(args.get_int("seed")));
-
+/// The EsmConfig fields `train` and `pipeline` both take from flags: the
+/// space, the surrogate and encoder kinds, the loop inputs and the seed.
+esm::EsmConfig campaign_config(const esm::ArgParser& args) {
   esm::EsmConfig config;
   config.spec = esm::spec_by_name(args.get_string("supernet"));
   config.strategy =
@@ -145,6 +146,15 @@ int run_train(const esm::ArgParser& args) {
   config.acc_threshold = args.get_double("acc-th");
   config.max_iterations = static_cast<int>(args.get_int("max-iters"));
   config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  return config;
+}
+
+int run_train(const esm::ArgParser& args) {
+  const esm::DeviceSpec device_spec =
+      esm::device_by_name(args.get_string("device"));
+  esm::SimulatedDevice device(device_spec,
+                              static_cast<std::uint64_t>(args.get_int("seed")));
+  const esm::EsmConfig config = campaign_config(args);
 
   std::cout << "Training a '" << config.surrogate << "' surrogate ("
             << config.encoder << " encoding, "
@@ -587,21 +597,7 @@ int run_measure(const esm::ArgParser& args) {
     const esm::BatchResult batch = generator.measure_batch(chunk);
     measured.insert(measured.end(), batch.samples.begin(),
                     batch.samples.end());
-    report.requested += batch.report.requested;
-    report.measured += batch.report.measured;
-    report.quarantined += batch.report.quarantined;
-    report.skipped_quarantined += batch.report.skipped_quarantined;
-    report.sessions += batch.report.sessions;
-    report.retries += batch.report.retries;
-    report.timeouts += batch.report.timeouts;
-    report.device_losses += batch.report.device_losses;
-    report.read_errors += batch.report.read_errors;
-    report.qc_passed = report.qc_passed && batch.report.qc_passed;
-    report.cost_seconds += batch.report.cost_seconds;
-    report.backoff_seconds += batch.report.backoff_seconds;
-    report.quarantined_archs.insert(report.quarantined_archs.end(),
-                                    batch.report.quarantined_archs.begin(),
-                                    batch.report.quarantined_archs.end());
+    report.add(batch.report);
   }
   if (generator.replayed_batches() > 0) {
     std::cerr << "note: " << generator.replayed_batches()
@@ -689,26 +685,15 @@ int run_measure(const esm::ArgParser& args) {
 
 int run_pipeline_cmd(const esm::ArgParser& args) {
   esm::PipelineConfig config;
-  config.esm.spec = esm::spec_by_name(args.get_string("supernet"));
-  config.esm.strategy =
-      esm::sampling_strategy_from_name(args.get_string("strategy"));
-  config.esm.surrogate = args.get_string("surrogate");
-  config.esm.encoder = args.get_string("encoder");
-  config.esm.ensemble_members =
-      static_cast<std::size_t>(args.get_int("ensemble-members"));
-  config.esm.n_initial = static_cast<int>(args.get_int("n-initial"));
+  config.esm = campaign_config(args);
   config.esm.n_test = static_cast<int>(args.get_int("n-test"));
-  config.esm.n_bins = static_cast<int>(args.get_int("n-bins"));
-  config.esm.acc_threshold = args.get_double("acc-th");
   config.esm.faults =
       esm::parse_fault_profile(args.get_string("fault-profile"));
   config.esm.retry.max_attempts = static_cast<int>(args.get_int("retries"));
   config.esm.threads = static_cast<int>(args.get_int("threads"));
-  config.esm.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   config.device = args.get_string("device");
   config.model_name = args.get_string("name");
   config.manifest_dir = args.get_string("manifest-dir");
-  config.batch_size = static_cast<std::size_t>(args.get_int("batch-size"));
 
   std::cout << "Pipeline: measure -> train '" << config.esm.surrogate
             << "' -> gate (Acc_TH "
@@ -721,7 +706,7 @@ int run_pipeline_cmd(const esm::ArgParser& args) {
             << result.test_measured << " test samples";
   if (result.replayed_batches > 0) {
     std::cout << " (" << result.replayed_batches
-              << " batch(es) replayed from journals)";
+              << " batch(es) replayed from the campaign journal)";
   }
   std::cout << ".\nOverall accuracy "
             << esm::format_percent(result.eval.overall_accuracy)
@@ -780,21 +765,22 @@ int main(int argc, char** argv) {
       "score, search, measure, and publish ESM surrogate artifacts.");
   args.add_string("model", "/tmp/esm_model.esm", "surrogate artifact path");
   args.add_string("surrogate", "mlp",
-                  "surrogate (train): mlp|lut|gbdt|ensemble");
+                  "surrogate (train/pipeline): mlp|lut|gbdt|ensemble");
   args.add_string("encoder", "fcc",
-                  "encoder (train): onehot|feature|stat|fc|fcc");
-  args.add_int("ensemble-members", 4, "ensemble width (train)");
+                  "encoder (train/pipeline): onehot|feature|stat|fc|fcc");
+  args.add_int("ensemble-members", 4, "ensemble width (train/pipeline)");
   args.add_string("supernet", "resnet",
-                  "space (train): resnet|mobilenetv3|densenet");
+                  "space (train/pipeline): resnet|mobilenetv3|densenet");
   args.add_string("device", "rtx4090",
-                  "device (train/eval/search verification): rtx4090|"
-                  "rtx3080maxq|threadripper|rpi4");
-  args.add_string("strategy", "balanced", "sampling (train): random|balanced");
-  args.add_int("n-initial", 300, "N_I (train)");
-  args.add_int("n-step", 100, "N_Step (train)");
-  args.add_int("n-bins", 5, "N_Bins (train/eval)");
-  args.add_double("acc-th", 0.95, "Acc_TH (train/eval)");
-  args.add_int("max-iters", 20, "iteration budget (train)");
+                  "device (train/eval/pipeline/search verification): "
+                  "rtx4090|rtx3080maxq|threadripper|rpi4");
+  args.add_string("strategy", "balanced",
+                  "sampling (train/pipeline): random|balanced");
+  args.add_int("n-initial", 300, "N_I (train/pipeline)");
+  args.add_int("n-step", 100, "N_Step (train/pipeline)");
+  args.add_int("n-bins", 5, "N_Bins (train/eval/pipeline)");
+  args.add_double("acc-th", 0.95, "Acc_TH (train/eval/pipeline)");
+  args.add_int("max-iters", 20, "iteration budget (train/pipeline)");
   args.add_int("count", 10,
                "architectures to price/measure (train/predict/eval/measure)");
   args.add_double("budget-ms", 3.0,
@@ -824,10 +810,11 @@ int main(int argc, char** argv) {
                   "arch file (measure): one comma-separated depth list per "
                   "line, e.g. 3,5,2,7");
   args.add_string("fault-profile", "none",
-                  "fault profile (measure): none|flaky|harsh or key=value "
-                  "pairs");
+                  "fault profile (measure/pipeline): none|flaky|harsh or "
+                  "key=value pairs");
   args.add_int("retries", 3,
-               "measurement attempts per sample incl. the first (measure)");
+               "measurement attempts per sample incl. the first "
+               "(measure/pipeline)");
   args.add_string("report-json", "",
                   "write the DatasetReport as JSON here (measure)");
   args.add_string("journal", "",
@@ -847,7 +834,9 @@ int main(int argc, char** argv) {
                 "predict: read arch requests one per line from stdin (same "
                 "grammar as the serve protocol) and emit full-precision "
                 "CSV on stdout");
-  args.add_int("threads", 0, "worker threads (measure); 0 = hardware");
+  args.add_int("threads", 0,
+               "worker threads (measure/pipeline); 0 = ESM_THREADS "
+               "(default 1)");
   args.add_string("name", "default",
                   "model name to publish under (pipeline)");
   args.add_string("manifest-dir", "/tmp/esm_fleet",

@@ -16,9 +16,11 @@
 #                         100% goodput — plus an esm_serve run with --chaos
 #                         and a --retries client riding out the injected
 #                         faults), then a fleet smoke
-#                         test (`esm_cli pipeline` publishing models into a
-#                         manifest, kill -9 mid-pipeline converging to
-#                         byte-identical artifacts, routed multi-model
+#                         test (`esm_cli pipeline` running journaled
+#                         train-evaluate-extend campaigns and publishing
+#                         the models into a manifest, kill -9 mid-campaign
+#                         resuming from the journal to byte-identical
+#                         artifacts, routed multi-model
 #                         serving with atomic reload and clean drain), then
 #                         a search determinism smoke (`esm_cli search
 #                         --format serve` must print byte-identical front
@@ -178,15 +180,15 @@ echo "== fleet pipeline + routed serving smoke test =="
 # reload to a three-model fleet, and drain cleanly.
 FLEET_DIR="$SMOKE_DIR/fleet"
 PIPELINE="build/examples/esm_cli pipeline --surrogate gbdt --n-initial 32
-  --n-test 16 --acc-th 0.3 --batch-size 8 --manifest-dir $FLEET_DIR"
+  --n-test 16 --acc-th 0.3 --manifest-dir $FLEET_DIR"
 $PIPELINE --name edge --device rpi4 >/dev/null
 $PIPELINE --name cloud --device rtx4090 >/dev/null
 
-# kill -9 mid-pipeline: the rerun resumes from the stage journals (exit 3)
-# or restarts from scratch (exit 0) — either way the published manifest and
-# artifact must be byte-identical to an uninterrupted run's.
+# kill -9 mid-pipeline: the rerun resumes from the campaign journal
+# (exit 3) or restarts from scratch (exit 0) — either way the published
+# manifest and artifact must be byte-identical to an uninterrupted run's.
 KILL_PIPE="build/examples/esm_cli pipeline --surrogate gbdt --n-initial 48
-  --n-test 16 --acc-th 0.3 --batch-size 4 --device rpi4 --name edge"
+  --n-test 16 --acc-th 0.3 --device rpi4 --name edge"
 $KILL_PIPE --manifest-dir "$SMOKE_DIR/fleet_ref" >/dev/null
 timeout -s KILL 0.05 $KILL_PIPE --manifest-dir "$SMOKE_DIR/fleet_kill" \
   >/dev/null 2>&1 || true

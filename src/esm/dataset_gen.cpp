@@ -28,6 +28,24 @@ constexpr std::uint64_t kJournalDigestStream = 0x6a0b2a1d16e57ull;
 
 }  // namespace
 
+void DatasetReport::add(const DatasetReport& batch) {
+  requested += batch.requested;
+  measured += batch.measured;
+  quarantined += batch.quarantined;
+  skipped_quarantined += batch.skipped_quarantined;
+  sessions += batch.sessions;
+  retries += batch.retries;
+  timeouts += batch.timeouts;
+  device_losses += batch.device_losses;
+  read_errors += batch.read_errors;
+  qc_passed = qc_passed && batch.qc_passed;
+  cost_seconds += batch.cost_seconds;
+  backoff_seconds += batch.backoff_seconds;
+  quarantined_archs.insert(quarantined_archs.end(),
+                           batch.quarantined_archs.begin(),
+                           batch.quarantined_archs.end());
+}
+
 DatasetGenerator::DatasetGenerator(const EsmConfig& config,
                                    SimulatedDevice& device, Rng rng)
     : config_(config), device_(&device), rng_(rng) {

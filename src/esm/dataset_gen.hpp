@@ -85,6 +85,12 @@ struct DatasetReport {
   /// runs reading the journal) can explain exactly which archs were given
   /// up on, not just how many.
   std::vector<std::string> quarantined_archs;
+
+  /// Accumulates one batch's report into this running total: counts and
+  /// costs add up, quarantined keys append, and qc_passed is ANDed, so a
+  /// total meant to say "every batch passed QC" starts from
+  /// qc_passed = true.
+  void add(const DatasetReport& batch);
 };
 
 /// Everything measure_batch() produced: the surviving samples, the QC

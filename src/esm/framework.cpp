@@ -134,6 +134,7 @@ EsmResult EsmFramework::run_impl(
 
   result.final_train_set_size = result.train_set.size();
   result.total_measurement_seconds = device_->measurement_cost_seconds();
+  result.replayed_batches = generator.replayed_batches();
   return result;
 }
 

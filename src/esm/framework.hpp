@@ -46,6 +46,9 @@ struct EsmResult {
   std::size_t final_train_set_size = 0;
   double total_measurement_seconds = 0.0;
   double total_train_seconds = 0.0;
+  /// Batches answered from a resumed campaign journal (config.journal)
+  /// instead of measured; > 0 means this run continued an earlier one.
+  std::size_t replayed_batches = 0;
   std::vector<MeasuredSample> train_set;
   std::vector<MeasuredSample> test_set;
 };

@@ -1,66 +1,13 @@
 #include "esm/pipeline.hpp"
 
-#include <algorithm>
-#include <memory>
-#include <utility>
-#include <vector>
-
 #include "common/error.hpp"
 #include "common/fsio.hpp"
-#include "esm/dataset_gen.hpp"
+#include "esm/framework.hpp"
 #include "hwsim/device.hpp"
-#include "nets/sampler.hpp"
 #include "serve/fleet.hpp"
 #include "surrogate/registry.hpp"
 
 namespace esm {
-namespace {
-
-/// One journaled measurement stage: samples `count` archs deterministically
-/// from (spec, strategy, seed), measures them in `batch_size` chunks (one
-/// journal record each), resuming from `journal_path` when a previous
-/// attempt left one behind. Returns the samples and accumulates the
-/// replayed-batch count.
-std::vector<MeasuredSample> measure_stage(
-    const PipelineConfig& config, const std::string& journal_path,
-    SamplingStrategy strategy, std::size_t count, std::uint64_t stage_seed,
-    std::size_t& replayed_batches, std::size_t& measured) {
-  EsmConfig stage = config.esm;
-  stage.seed = stage_seed;
-  stage.journal.path = journal_path;
-  stage.journal.resume = true;  // a missing journal is an empty resume
-  stage.journal.durable = config.durable;
-  stage.validate();
-
-  SimulatedDevice device(device_by_name(config.device), stage_seed);
-  Rng rng(stage_seed);
-  DatasetGenerator generator(stage, device, rng.split());
-
-  // The arch list is a pure function of spec/strategy/seed, so a resumed
-  // invocation re-issues the identical batch partition and the journal
-  // answers the already-measured prefix.
-  const std::unique_ptr<ArchSampler> sampler =
-      make_sampler(stage.spec, strategy, stage.n_bins);
-  Rng arch_rng(stage_seed ^ 0x7e57a5c5ull);
-  const std::vector<ArchConfig> archs = sampler->sample_n(count, arch_rng);
-
-  const std::size_t batch_size =
-      config.batch_size > 0 ? config.batch_size : archs.size();
-  std::vector<MeasuredSample> samples;
-  for (std::size_t begin = 0; begin < archs.size(); begin += batch_size) {
-    const std::size_t end = std::min(begin + batch_size, archs.size());
-    const std::vector<ArchConfig> chunk(archs.begin() + begin,
-                                        archs.begin() + end);
-    const BatchResult batch = generator.measure_batch(chunk);
-    samples.insert(samples.end(), batch.samples.begin(),
-                   batch.samples.end());
-  }
-  replayed_batches += generator.replayed_batches();
-  measured = samples.size();
-  return samples;
-}
-
-}  // namespace
 
 void PipelineConfig::validate() const {
   ESM_REQUIRE(serve::valid_model_name(model_name),
@@ -68,7 +15,6 @@ void PipelineConfig::validate() const {
                   << model_name
                   << "' (must match [A-Za-z][A-Za-z0-9_.-]*)");
   ESM_REQUIRE(!manifest_dir.empty(), "pipeline needs a --manifest-dir");
-  ESM_REQUIRE(!manifest_file.empty(), "pipeline manifest file name is empty");
   ESM_REQUIRE(!device.empty(), "pipeline needs a device");
   esm.validate();
 }
@@ -77,67 +23,33 @@ PipelineResult run_pipeline(const PipelineConfig& config) {
   config.validate();
   make_dirs(config.manifest_dir + "/.pipeline");
 
+  // Stage 1: the journaled campaign. A missing journal is an empty resume,
+  // so a first run and a rerun after kill -9 take the same path.
+  EsmConfig esm = config.esm;
+  esm.journal.path =
+      config.manifest_dir + "/.pipeline/" + config.model_name + ".journal";
+  esm.journal.resume = true;
+  SimulatedDevice device(device_by_name(config.device), esm.seed);
+  const EsmResult campaign = EsmFramework(esm, device).run();
+
+  // Stage 2: gate. A model below Acc_TH never reaches the manifest.
   PipelineResult result;
-  const std::string journal_stem =
-      config.manifest_dir + "/.pipeline/" + config.model_name;
-
-  // Stages 1-2: journaled measurement. Distinct stage seeds keep the two
-  // campaigns (and their journals) independent; both derive only from the
-  // config, so a rerun issues the identical campaigns.
-  const std::vector<MeasuredSample> train_set = measure_stage(
-      config, journal_stem + ".train.journal", config.esm.strategy,
-      static_cast<std::size_t>(config.esm.n_initial), config.esm.seed,
-      result.replayed_batches, result.train_measured);
-  const std::vector<MeasuredSample> test_set = measure_stage(
-      config, journal_stem + ".test.journal", SamplingStrategy::kBalanced,
-      static_cast<std::size_t>(config.esm.n_test),
-      config.esm.seed ^ 0x9e3779b97f4a7c15ull, result.replayed_batches,
-      result.test_measured);
-  ESM_REQUIRE(!train_set.empty(), "pipeline measured no training samples");
-  ESM_REQUIRE(!test_set.empty(), "pipeline measured no test samples");
-
-  // Stage 3: train. Deterministic in (samples, config, seed); the LUT
-  // family profiles the context device instead of fitting, so it gets its
-  // own deterministically seeded instance.
-  SimulatedDevice train_device(device_by_name(config.device),
-                               config.esm.seed);
-  SurrogateContext context;
-  context.spec = config.esm.spec;
-  context.encoder = config.esm.encoder;
-  context.train = config.esm.train;
-  context.seed = config.esm.seed;
-  context.device = &train_device;
-  context.ensemble_members = config.esm.ensemble_members;
-  const std::unique_ptr<TrainableSurrogate> surrogate =
-      SurrogateRegistry::instance().create(config.esm.surrogate, context);
-
-  std::vector<ArchConfig> train_archs;
-  std::vector<double> train_latencies;
-  train_archs.reserve(train_set.size());
-  train_latencies.reserve(train_set.size());
-  for (const MeasuredSample& sample : train_set) {
-    train_archs.push_back(sample.arch);
-    train_latencies.push_back(sample.latency_ms);
-  }
-  surrogate->fit(SurrogateDataset{train_archs, train_latencies});
-
-  // Stage 4: gate. A model below Acc_TH never reaches the manifest.
-  const BinwiseEvaluator evaluator(config.esm.spec, config.esm.n_bins,
-                                   config.esm.acc_threshold);
-  result.eval = evaluator.evaluate(*surrogate, test_set);
-  result.gate_passed = result.eval.passed(config.esm.eval_strategy,
-                                          config.esm.acc_threshold);
+  result.train_measured = campaign.final_train_set_size;
+  result.test_measured = campaign.test_set.size();
+  result.replayed_batches = campaign.replayed_batches;
+  result.eval = campaign.iterations.back().eval;
+  result.gate_passed = campaign.converged;
   if (!result.gate_passed) return result;
 
-  // Stage 5: publish, artifact before manifest. Both writes are atomic;
+  // Stage 3: publish, artifact before manifest. Both writes are atomic;
   // a crash between them leaves the manifest referencing the previous
   // artifact state, and the rerun converges to the same final bytes.
   result.artifact_path =
       config.manifest_dir + "/" + config.model_name + ".esm";
   result.artifact_crc32 =
-      save_surrogate_atomic(*surrogate, result.artifact_path);
+      save_surrogate_atomic(*campaign.predictor, result.artifact_path);
 
-  result.manifest_path = config.manifest_dir + "/" + config.manifest_file;
+  result.manifest_path = config.manifest_dir + "/manifest.esmf";
   serve::FleetManifest manifest;
   if (path_exists(result.manifest_path)) {
     manifest = serve::FleetManifest::load(result.manifest_path);

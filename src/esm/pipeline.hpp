@@ -3,25 +3,29 @@
 // manifest entry the fleet server can serve, crash-safe at every stage.
 //
 // Stage layout and the resume argument:
-//   1. measure train set   journaled (esm/journal.hpp) under
-//                          <manifest-dir>/.pipeline/<name>.train.journal
-//   2. measure test set    journaled under .../<name>.test.journal
-//   3. train               deterministic from (samples, config, seed)
-//   4. gate                BinwiseEvaluator against Acc_TH; a failing
-//                          model is NEVER published
-//   5. publish             artifact via save_surrogate_atomic, then the
-//                          manifest upserted via write_manifest_atomic
+//   1. campaign   one journaled EsmFramework run (esm/framework.hpp): the
+//                 train-evaluate-extend loop measures the held-out set,
+//                 the N_I initial samples and every N_Step extension
+//                 through one write-ahead journal (esm/journal.hpp) under
+//                 <manifest-dir>/.pipeline/<name>.journal
+//   2. gate       the campaign's convergence verdict against Acc_TH; a
+//                 model that did not converge is NEVER published
+//   3. publish    artifact via save_surrogate_atomic, then the manifest
+//                 upserted via write_manifest_atomic
 //
-// Stages 1-2 are write-ahead journaled with resume always on: a rerun
-// after kill -9 replays the accepted batches bit-identically and measures
-// only the remainder (the PR-4 guarantee). Stages 3-4 are pure functions
-// of the measured samples and the config. Stage 5 writes both files
-// atomically, artifact first: a crash between the two leaves the manifest
-// pointing at the OLD artifact bytes (the new file only replaces the old
-// after its rename), and the rerun converges to the same published state.
-// Rerunning a completed pipeline therefore republishes a byte-identical
-// artifact and manifest, no matter where (or whether) a previous attempt
-// died.
+// Stage 1 resumes whenever the journal exists: a rerun after kill -9
+// replays the accepted batches bit-identically and measures only the
+// remainder (the resume invariant of esm/journal.hpp); fits and
+// evaluations are pure functions of the measured samples and the config.
+// Acc_TH and N_Step shape the extension requests, so a rerun with changed
+// loop inputs replays only the matching prefix of the journal and is
+// refused (esm::ConfigError) if it needs a record written for a different
+// request. Stage 3 writes both files atomically, artifact first: a crash
+// between the two leaves the manifest pointing at the OLD artifact bytes
+// (the new file only replaces the old after its rename), and the rerun
+// converges to the same published state. Rerunning a completed pipeline
+// therefore republishes a byte-identical artifact and manifest, no matter
+// where (or whether) a previous attempt died.
 #pragma once
 
 #include <cstddef>
@@ -33,19 +37,15 @@
 namespace esm {
 
 struct PipelineConfig {
-  /// Space, surrogate/encoder kind, QC + fault tolerance, Acc_TH gate,
-  /// training hyperparameters, seed. `esm.journal` is overridden per
-  /// measurement stage (path derived from the model name, resume on);
-  /// `esm.n_initial` sizes the train set and `esm.n_test` the test set.
+  /// The campaign: space, surrogate/encoder kind, loop inputs (N_I,
+  /// N_Step, Acc_TH, iteration budget, test-set size), QC + fault
+  /// tolerance, training hyperparameters, seed. `esm.journal.path` and
+  /// `esm.journal.resume` are overridden (path derived from the model
+  /// name, resume on); `esm.journal.durable` is honoured.
   EsmConfig esm;
   std::string device;        ///< simulated-device name
   std::string model_name;    ///< manifest entry to publish
-  std::string manifest_dir;  ///< artifacts + manifest live here
-  std::string manifest_file = "manifest.esmf";
-  /// Archs per measurement batch / journal record (checkpoint
-  /// granularity); 0 = one batch per stage.
-  std::size_t batch_size = 0;
-  bool durable = true;  ///< fsync journal records (tests disable for speed)
+  std::string manifest_dir;  ///< artifacts + manifest.esmf live here
 
   /// Throws esm::ConfigError on an invalid name, empty dir, or bad esm
   /// config.
@@ -55,18 +55,18 @@ struct PipelineConfig {
 struct PipelineResult {
   bool gate_passed = false;
   bool published = false;
-  std::size_t train_measured = 0;  ///< train samples delivered by stage 1
-  std::size_t test_measured = 0;   ///< test samples delivered by stage 2
-  /// Journal-answered batches across both measurement stages; > 0 means
-  /// this run resumed a previous attempt.
+  std::size_t train_measured = 0;  ///< final training-set size
+  std::size_t test_measured = 0;   ///< held-out samples measured
+  /// Journal-answered batches; > 0 means this run resumed a previous
+  /// attempt.
   std::size_t replayed_batches = 0;
-  EvalReport eval;            ///< the gate's evidence
+  EvalReport eval;            ///< the gate's evidence (last iteration)
   std::string artifact_path;  ///< written only when published
   std::string artifact_crc32;
   std::string manifest_path;
 };
 
-/// Runs the five stages. Throws esm::ConfigError on configuration or I/O
+/// Runs the three stages. Throws esm::ConfigError on configuration or I/O
 /// failures; a gate failure is NOT an error (returns gate_passed=false,
 /// published=false).
 PipelineResult run_pipeline(const PipelineConfig& config);

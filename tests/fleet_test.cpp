@@ -5,12 +5,14 @@
 // each error naming the offending entry, nothing published, the staged
 // generation counter untouched), carry-over of unchanged models across
 // loads, the durable-I/O primitives they ride on, and the measure -> train
-// -> gate -> publish pipeline: gate failures never publish, and a rerun —
+// -> gate -> publish pipeline: gate failures never publish, a rerun —
 // after completion, after a simulated crash between artifact and manifest,
-// or after losing a journal — converges to a byte-identical published
-// state.
+// or with its campaign journal cut at a record boundary or mid-record —
+// converges to a byte-identical published state, and a rerun whose
+// extension request diverges from the journal is refused.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -317,17 +319,25 @@ PipelineConfig small_pipeline(const std::string& dir,
   config.esm.surrogate = "gbdt";
   config.esm.encoder = "fcc";
   config.esm.n_initial = 32;
+  config.esm.n_step = 8;
   config.esm.n_test = 20;
   config.esm.n_bins = 4;
   config.esm.acc_threshold = 0.6;
   config.esm.eval_strategy = EvalStrategy::kOverall;
+  config.esm.max_iterations = 4;
   config.esm.seed = 11;
+  config.esm.journal.durable = false;
   config.device = "rtx4090";
   config.model_name = name;
   config.manifest_dir = dir;
-  config.batch_size = 8;  // several journal records per stage
-  config.durable = false;
   return config;
+}
+
+/// First `lines` newline-terminated lines of `text`.
+std::string first_lines(const std::string& text, std::size_t lines) {
+  std::size_t end = 0;
+  for (std::size_t i = 0; i < lines; ++i) end = text.find('\n', end) + 1;
+  return text.substr(0, end);
 }
 
 TEST(PipelineTest, RejectsBadConfigs) {
@@ -379,9 +389,9 @@ TEST(PipelineTest, PublishesGatedModelsIntoOneLoadableManifest) {
 }
 
 // Acceptance criterion: no matter where a previous attempt stopped —
-// after completion, between the artifact and manifest writes, or with a
-// journal lost mid-measurement — a rerun converges to a byte-identical
-// published manifest and artifact.
+// after completion, between the artifact and manifest writes, or with the
+// campaign journal cut at a record boundary or mid-record — a rerun
+// converges to a byte-identical published manifest and artifact.
 TEST(PipelineTest, RerunConvergesToByteIdenticalPublishedState) {
   const std::string dir = fresh_dir("fleet_pipe_rerun");
   const PipelineConfig config = small_pipeline(dir, "edge");
@@ -391,53 +401,92 @@ TEST(PipelineTest, RerunConvergesToByteIdenticalPublishedState) {
       read_file(first.manifest_path, "manifest");
   const std::string artifact_bytes =
       read_file(first.artifact_path, "artifact");
+  const std::string journal_path = dir + "/.pipeline/edge.journal";
+  const std::string journal = read_file(journal_path, "journal");
+  // Magic, campaign header, then the test-set and initial-set batches.
+  ASSERT_EQ(std::count(journal.begin(), journal.end(), '\n'), 4);
 
-  // Rerun of a completed pipeline: every batch replays from the journals.
+  // Rerun of a completed pipeline: every batch replays from the journal.
   const PipelineResult again = run_pipeline(config);
   ASSERT_TRUE(again.published);
-  EXPECT_GT(again.replayed_batches, 0u);
+  EXPECT_EQ(again.replayed_batches, 2u);
   EXPECT_EQ(read_file(again.manifest_path, "manifest"), manifest_bytes);
   EXPECT_EQ(read_file(again.artifact_path, "artifact"), artifact_bytes);
 
-  // Crash between artifact and manifest (artifact gone, journals intact).
+  // Crash between artifact and manifest (artifact gone, journal intact).
   std::remove(first.artifact_path.c_str());
   ASSERT_TRUE(run_pipeline(config).published);
   EXPECT_EQ(read_file(first.artifact_path, "artifact"), artifact_bytes);
   EXPECT_EQ(read_file(first.manifest_path, "manifest"), manifest_bytes);
 
-  // Crash that lost the stage-2 journal: the test set is re-measured
-  // deterministically and the output still converges.
-  std::remove((dir + "/.pipeline/edge.test.journal").c_str());
-  ASSERT_TRUE(run_pipeline(config).published);
+  // Crash after the test-set record: the initial set is re-measured
+  // deterministically, the journal is rebuilt, and the output converges.
+  write_file_atomic(journal_path, first_lines(journal, 3));
+  const PipelineResult boundary = run_pipeline(config);
+  ASSERT_TRUE(boundary.published);
+  EXPECT_EQ(boundary.replayed_batches, 1u);
+  EXPECT_EQ(read_file(journal_path, "journal"), journal);
+  EXPECT_EQ(read_file(first.artifact_path, "artifact"), artifact_bytes);
+  EXPECT_EQ(read_file(first.manifest_path, "manifest"), manifest_bytes);
+
+  // Crash mid-record: the torn final record is dropped and re-measured.
+  write_file_atomic(journal_path,
+                    journal.substr(0, first_lines(journal, 3).size() + 17));
+  const PipelineResult torn = run_pipeline(config);
+  ASSERT_TRUE(torn.published);
+  EXPECT_EQ(torn.replayed_batches, 1u);
+  EXPECT_EQ(read_file(journal_path, "journal"), journal);
   EXPECT_EQ(read_file(first.artifact_path, "artifact"), artifact_bytes);
   EXPECT_EQ(read_file(first.manifest_path, "manifest"), manifest_bytes);
 }
 
-TEST(PipelineTest, GateFailureNeverPublishesAndTheRerunResumes) {
-  const std::string dir = fresh_dir("fleet_pipe_gate");
+/// A campaign that cannot converge: every bin at 99.99 % from a small
+/// model, with two iterations, so its journal holds one extension batch.
+PipelineConfig failing_pipeline(const std::string& dir) {
   PipelineConfig config = small_pipeline(dir, "edge");
-  // Unreachable bar for a 32-sample model: every bin at 99.99 %.
   config.esm.acc_threshold = 0.9999;
   config.esm.eval_strategy = EvalStrategy::kBinWise;
+  config.esm.max_iterations = 2;
+  return config;
+}
+
+TEST(PipelineTest, GateFailureNeverPublishesAndTheRerunResumes) {
+  const std::string dir = fresh_dir("fleet_pipe_gate");
+  PipelineConfig config = failing_pipeline(dir);
 
   const PipelineResult failed = run_pipeline(config);
   EXPECT_FALSE(failed.gate_passed);
   EXPECT_FALSE(failed.published);
+  EXPECT_EQ(failed.train_measured, 40u);  // N_I + one N_Step extension
   EXPECT_TRUE(failed.artifact_path.empty());
   EXPECT_FALSE(path_exists(dir + "/manifest.esmf"));
   EXPECT_FALSE(path_exists(dir + "/edge.esm"));
 
   // The measurements were not wasted: the gate is not part of the campaign
-  // identity, so a relaxed rerun resumes from the journals (replaying, not
-  // re-measuring) and publishes.
+  // identity, so a relaxed rerun that converges at the first iteration
+  // replays the test and initial batches (not re-measuring) and publishes.
   config.esm.acc_threshold = 0.6;
   config.esm.eval_strategy = EvalStrategy::kOverall;
   const PipelineResult passed = run_pipeline(config);
   ASSERT_TRUE(passed.gate_passed);
   ASSERT_TRUE(passed.published);
-  EXPECT_GT(passed.replayed_batches, 0u);
+  EXPECT_EQ(passed.replayed_batches, 2u);
   EXPECT_TRUE(path_exists(dir + "/manifest.esmf"));
   EXPECT_TRUE(path_exists(dir + "/edge.esm"));
+}
+
+TEST(PipelineTest, RerunWithADivergingExtensionIsRefused) {
+  const std::string dir = fresh_dir("fleet_pipe_diverge");
+  PipelineConfig config = failing_pipeline(dir);
+  ASSERT_FALSE(run_pipeline(config).gate_passed);
+
+  // A different N_Step asks for a different extension batch than the one
+  // the journal holds: the rerun is refused and nothing is published.
+  config.esm.n_step = 12;
+  expect_throw_mentioning([&] { run_pipeline(config); }, "different batch",
+                          "rerun with N_Step 12 over an N_Step 8 journal");
+  EXPECT_FALSE(path_exists(dir + "/manifest.esmf"));
+  EXPECT_FALSE(path_exists(dir + "/edge.esm"));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // uninterrupted run, at 1 and 8 threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -519,48 +520,71 @@ TEST(JournalDeterminismTest, ResumeRejectsDifferentCampaign) {
 }
 
 TEST(JournalDeterminismTest, FrameworkRunWithJournalMatchesPlainRun) {
-  EsmConfig cfg;
-  cfg.spec = resnet_spec();
-  cfg.n_initial = 30;
-  cfg.n_step = 15;
-  cfg.n_bins = 5;
-  cfg.n_test = 30;
-  cfg.acc_threshold = 0.9;
-  cfg.max_iterations = 1;
-  cfg.n_reference_models = 3;
-  cfg.qc_baseline_sessions = 2;
-  cfg.train.epochs = 10;
-  cfg.train.batch_size = 32;
-  cfg.seed = 33;
-  cfg.journal.durable = false;
+  // A campaign long enough to extend twice, so a resume replays extension
+  // batches too. "lut" matters: it profiles the measuring device inside
+  // fit, between journaled batches.
+  for (const std::string surrogate : {"mlp", "lut"}) {
+    EsmConfig cfg;
+    cfg.spec = resnet_spec();
+    cfg.surrogate = surrogate;
+    cfg.n_initial = 30;
+    cfg.n_step = 15;
+    cfg.n_bins = 5;
+    cfg.n_test = 30;
+    cfg.acc_threshold = 0.999;  // unreachable: every iteration runs
+    cfg.max_iterations = 3;
+    cfg.n_reference_models = 3;
+    cfg.qc_baseline_sessions = 2;
+    cfg.train.epochs = 10;
+    cfg.train.batch_size = 32;
+    cfg.seed = 33;
+    cfg.journal.durable = false;
 
-  const auto fingerprint = [&](const EsmConfig& run_cfg) {
-    SimulatedDevice device(rtx4090_spec(), run_cfg.seed);
-    const EsmResult result = EsmFramework(run_cfg, device).run();
-    std::ostringstream os;
-    os << result.converged << ' ' << result.iterations.size() << ' '
-       << result.final_train_set_size;
-    for (const IterationReport& it : result.iterations) {
-      os << ' ' << full_double(it.eval.overall_accuracy) << ' '
-         << full_double(it.eval.min_bin_accuracy);
+    std::size_t replayed = 0;
+    const auto fingerprint = [&](const EsmConfig& run_cfg) {
+      SimulatedDevice device(rtx4090_spec(), run_cfg.seed);
+      const EsmResult result = EsmFramework(run_cfg, device).run();
+      replayed = result.replayed_batches;
+      std::ostringstream os;
+      os << result.converged << ' ' << result.iterations.size() << ' '
+         << result.final_train_set_size << ' '
+         << full_double(result.total_measurement_seconds);
+      for (const IterationReport& it : result.iterations) {
+        os << ' ' << full_double(it.eval.overall_accuracy) << ' '
+           << full_double(it.eval.min_bin_accuracy);
+      }
+      for (const MeasuredSample& s : result.train_set) {
+        os << ' ' << full_double(result.predictor->predict_ms(s.arch));
+      }
+      return os.str();
+    };
+
+    const std::string golden = fingerprint(cfg);
+    ASSERT_EQ(golden.substr(0, 7), "0 3 60 ") << surrogate;
+
+    const std::string journal =
+        temp_path("framework_" + surrogate + ".journal");
+    std::remove(journal.c_str());
+    EsmConfig journaled = cfg;
+    journaled.journal.path = journal;
+    EXPECT_EQ(fingerprint(journaled), golden) << surrogate;
+    const std::string full = read_file(journal);
+    // Magic, header, test set, initial set, two extensions.
+    ASSERT_EQ(std::count(full.begin(), full.end(), '\n'), 6) << surrogate;
+
+    // Kill after record k (0 = before the header), then resume: the
+    // journal answers the first k batches and the run is bit-identical.
+    EsmConfig resumed = journaled;
+    resumed.journal.resume = true;
+    for (std::size_t k = 0; k <= 4; ++k) {
+      write_file(journal, line_prefix(full, k == 0 ? 0 : 2 + k));
+      EXPECT_EQ(fingerprint(resumed), golden)
+          << surrogate << " killed after batch " << k;
+      EXPECT_EQ(replayed, k) << surrogate;
+      EXPECT_EQ(read_file(journal), full) << surrogate;
     }
-    return os.str();
-  };
-
-  const std::string golden = fingerprint(cfg);
-
-  const std::string journal = temp_path("framework.journal");
-  std::remove(journal.c_str());
-  EsmConfig journaled = cfg;
-  journaled.journal.path = journal;
-  EXPECT_EQ(fingerprint(journaled), golden);
-
-  // Re-running with --resume answers every batch from the journal and must
-  // reproduce the exact same result.
-  EsmConfig resumed = journaled;
-  resumed.journal.resume = true;
-  EXPECT_EQ(fingerprint(resumed), golden);
-  std::remove(journal.c_str());
+    std::remove(journal.c_str());
+  }
 }
 
 }  // namespace
